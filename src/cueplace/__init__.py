@@ -44,13 +44,13 @@ from .placement import (
     colocated_solution,
     solve,
 )
-from .scoring import ScoreMatrix, Weights, blur_probability, build_score_matrix, cone_distance
+from .scoring import ScoreMatrix, Weights, build_score_matrix
 from .simulate import (
     LocalizationStats,
     SimulationReport,
+    decision_by_bin,
     dump_trials,
     expected_localization_errors,
-    nearest_element_decision,
     run_simulation,
     table1_statistics,
 )
@@ -90,8 +90,6 @@ __all__ = [
     "load_layout",
     "Weights",
     "ScoreMatrix",
-    "blur_probability",
-    "cone_distance",
     "build_score_matrix",
     "Assignment",
     "PlacementSolution",
@@ -99,7 +97,7 @@ __all__ = [
     "solve",
     "brute_force_solve",
     "colocated_solution",
-    "nearest_element_decision",
+    "decision_by_bin",
     "run_simulation",
     "SimulationReport",
     "LocalizationStats",

@@ -345,6 +345,27 @@ def calibrated_params(bin_size_deg: int = 12, seed: int = 0) -> SyntheticModelPa
     )
 
 
+def sample_bins(model: ConfusionModel, true_bins: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one perceived bin per trial.
+
+    The cue of trial k plays in `true_bins[k]` and is perceived in the bin
+    numbered by how many of that row's CDF entries are at or below the
+    uniform `u[k]`, capped at the last bin. Both arguments are 1-d. Rows are
+    non-negative, so each CDF is non-decreasing and one binary search per
+    distinct true bin finds that count, in O(trials) memory.
+    """
+
+    cdf = np.cumsum(model.matrix, axis=1)
+    out = np.empty(u.size, dtype=np.intp)
+    by_bin = np.argsort(true_bins)
+    counts = np.bincount(true_bins, minlength=model.bin_count)
+    ends = np.cumsum(counts)
+    for b in np.flatnonzero(counts):
+        trials = by_bin[ends[b] - counts[b] : ends[b]]
+        out[trials] = np.searchsorted(cdf[b], u[trials], side="right")
+    return np.minimum(out, model.bin_count - 1)
+
+
 def sample_perceived(model: ConfusionModel, true_bin: int, rng: np.random.Generator, size=None):
     """Sample perceived bin(s) for a cue played in `true_bin`.
 
@@ -353,10 +374,9 @@ def sample_perceived(model: ConfusionModel, true_bin: int, rng: np.random.Genera
 
     if not 0 <= true_bin < model.bin_count:
         raise ValueError(f"true_bin {true_bin} out of range [0, {model.bin_count})")
-    cdf = np.cumsum(model.matrix[true_bin])
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    idx = np.minimum(idx, model.bin_count - 1)
-    return int(idx) if size is None else idx
+    u = rng.random(size)
+    idx = sample_bins(model, np.full(np.size(u), true_bin), np.ravel(u))
+    return int(idx[0]) if size is None else idx.reshape(np.shape(u))
 
 
 def diagonal_argmax_fraction(model: ConfusionModel) -> float:

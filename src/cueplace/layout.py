@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +33,10 @@ class Layout:
     """Ordered collection of visual elements; order is the input order.
 
     Azimuths are normalized and de-conflicted at construction: elements
-    sharing an azimuth are spread by +-DECONFLICT_STEP_DEG in id order so
-    every element has a distinct angle.
+    sharing an azimuth are spread DECONFLICT_STEP_DEG apart in id order,
+    centered on the shared azimuth. Should a spread land on another
+    element's azimuth, the colliding groups spread together around their
+    mean, so every element ends with a distinct angle.
     """
 
     elements: tuple[Element, ...]
@@ -71,23 +74,52 @@ class Layout:
 
 
 def _deconflict(elements) -> list[Element]:
-    normalized = [
-        Element(e.id, normalize(e.visual_azimuth_deg), float(e.elevation_deg), e.label)
-        for e in elements
+    az = [normalize(e.visual_azimuth_deg) for e in elements]
+    ids = [e.id for e in elements]
+    # Elements sharing an angle form a cluster that is spread apart. A spread
+    # can land on another element's angle; the clusters involved then merge
+    # and spread again. Each merge removes a cluster, so this terminates, at
+    # worst with one cluster whose members all sit a step apart.
+    cluster_of = list(range(len(az)))
+    while True:
+        pos = _spread(az, ids, cluster_of)
+        at: dict[float, list[int]] = {}
+        for i, p in enumerate(pos):
+            at.setdefault(p, []).append(i)
+        collisions = [idxs for idxs in at.values() if len(idxs) > 1]
+        if not collisions:
+            break
+        for idxs in collisions:
+            merged = {cluster_of[i] for i in idxs}
+            target = min(merged)
+            cluster_of = [target if c in merged else c for c in cluster_of]
+    return [
+        Element(e.id, p, float(e.elevation_deg), e.label) for e, p in zip(elements, pos)
     ]
-    groups: dict[float, list[int]] = {}
-    for i, e in enumerate(normalized):
-        groups.setdefault(e.visual_azimuth_deg, []).append(i)
-    for az, idxs in groups.items():
+
+
+def _spread(az: list[float], ids: list[str], cluster_of: list[int]) -> list[float]:
+    """Angle of each element once every cluster is spread around its mean.
+
+    Members sit DECONFLICT_STEP_DEG apart in (azimuth, id) order, centered
+    on the mean of their azimuths; a singleton keeps its own azimuth.
+    """
+
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(cluster_of):
+        members.setdefault(c, []).append(i)
+    pos = list(az)
+    for idxs in members.values():
         if len(idxs) == 1:
             continue
-        idxs.sort(key=lambda i: normalized[i].id)
-        # centered spread keeps the group's mean azimuth in place
+        ref = az[idxs[0]]
+        # signed offsets from ref, so a cluster straddling 0 stays contiguous
+        delta = {i: (az[i] - ref + 180.0) % 360.0 - 180.0 for i in idxs}
+        center = ref + math.fsum(delta.values()) / len(idxs)
+        idxs.sort(key=lambda i: (delta[i], ids[i]))
         for k, i in enumerate(idxs):
-            offset = (k - (len(idxs) - 1) / 2.0) * DECONFLICT_STEP_DEG
-            e = normalized[i]
-            normalized[i] = Element(e.id, normalize(az + offset), e.elevation_deg, e.label)
-    return normalized
+            pos[i] = normalize(center + (k - (len(idxs) - 1) / 2.0) * DECONFLICT_STEP_DEG)
+    return pos
 
 
 def layout_from_dict(d: dict) -> Layout:

@@ -87,6 +87,10 @@ def _ordered_quantized(scores: ScoreMatrix, max_displacement_deg: float | None):
     limit = float(np.abs(s).max(initial=1.0))
     q = np.rint(s * ((1 << QUANT_BITS) / limit)).astype(np.int64)
     if max_displacement_deg is not None:
+        if math.isnan(max_displacement_deg) or max_displacement_deg < 0:
+            raise ValueError(
+                f"max_displacement_deg must be a non-negative number, got {max_displacement_deg!r}"
+            )
         centers = bin_centers(scores.model.bin_size_deg)
         vis = scores.layout.visual_azimuths[order]
         far = angular_distance(centers[None, :], vis[:, None]) > max_displacement_deg
@@ -159,17 +163,16 @@ def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> Pla
     order, q = _ordered_quantized(scores, max_displacement_deg)
     n, bins = q.shape
 
-    # rot[i, r, p]: score of element i at rotated position p under cut r
+    # q[i, orig_by_cut][r, p]: score of element i at rotated position p under
+    # cut r, gathered one element at a time to keep memory at O(bins**2)
     pos = np.arange(bins)
     orig_by_cut = (pos[:, None] + pos[None, :]) % bins
-    rot = q[:, orig_by_cut]
-    f = rot[0].copy()
+    f = q[0, orig_by_cut]
+    prev_best = np.empty_like(f)
+    prev_best[:, 0] = MASKED
     for i in range(1, n):
-        running = np.maximum.accumulate(f, axis=1)
-        prev_best = np.empty_like(f)
-        prev_best[:, 0] = MASKED
-        prev_best[:, 1:] = running[:, :-1]
-        f = rot[i] + prev_best
+        np.maximum.accumulate(f[:, :-1], axis=1, out=prev_best[:, 1:])
+        f = q[i, orig_by_cut] + prev_best
     per_cut_best = f.max(axis=1)
     cut = int(np.argmax(per_cut_best))  # first max: lowest cut wins ties
     if per_cut_best[cut] <= INFEASIBLE_THRESHOLD:

@@ -8,12 +8,13 @@ safety). Both live in [0, 1] so the weights are comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
-from .angles import angular_distance, bin_center, bin_of, cone_set, mirror_front_back
+from .angles import angular_distance, bin_centers, bin_of, mirror_front_back
 from .confusion import ConfusionModel
 from .layout import Layout
 
@@ -33,8 +34,8 @@ class Weights:
     cone: float = DEFAULT_W_CONE
 
     def __post_init__(self):
-        if self.blur < 0 or self.cone < 0:
-            raise ValueError(f"weights must be non-negative, got {self}")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.blur, self.cone)):
+            raise ValueError(f"weights must be finite and non-negative, got {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,41 +57,6 @@ class ScoreMatrix:
         return self.values.shape[1]
 
 
-def blur_probability(model: ConfusionModel, visual_azimuth_deg: float, sound_bin: int) -> float:
-    """P(perceived in the visual element's bin | cue played in sound_bin)."""
-
-    v_bin = bin_of(visual_azimuth_deg, model.bin_size_deg)
-    return float(model.matrix[sound_bin, v_bin])
-
-
-def cone_distance(
-    layout: Layout,
-    element_index: int,
-    sound_azimuth_deg: float,
-    cone_rule: ConeRule = "point-plus-mirror",
-) -> float:
-    """Shortest arc from the sound's cone of confusion to any other element.
-
-    The cone is reduced to azimuths: the sound's own angle plus its
-    front-back mirror ("point-plus-mirror"), or just the mirror
-    ("mirror-only"). Larger is safer; a single-element layout returns the
-    maximum since there is nothing to confuse with.
-    """
-
-    others = [
-        e.visual_azimuth_deg for i, e in enumerate(layout.elements) if i != element_index
-    ]
-    if not others:
-        return MAX_CONE_DISTANCE_DEG
-    if cone_rule == "mirror-only":
-        points = [mirror_front_back(sound_azimuth_deg)]
-    elif cone_rule == "point-plus-mirror":
-        points = sorted(cone_set(sound_azimuth_deg))
-    else:
-        raise ValueError(f"unknown cone rule {cone_rule!r}")
-    return min(angular_distance(p, v) for p in points for v in others)
-
-
 def build_score_matrix(
     model: ConfusionModel,
     layout: Layout,
@@ -101,20 +67,37 @@ def build_score_matrix(
 
     Entry (i, s) = w_blur * P(v_i | s) + w_cone * D(v_i, s) / 180 where the
     candidate's geometry is taken at its bin center. Pure function of its
-    inputs.
+    inputs; an unknown `cone_rule` raises ValueError whatever the layout.
     """
 
-    n = len(layout)
-    values = np.empty((n, model.bin_count))
-    for i, element in enumerate(layout.elements):
-        v_bin = bin_of(element.visual_azimuth_deg, model.bin_size_deg)
-        blur = model.matrix[:, v_bin]
-        cone = np.array(
-            [
-                cone_distance(layout, i, bin_center(s, model.bin_size_deg), cone_rule)
-                for s in range(model.bin_count)
-            ]
-        )
-        values[i] = weights.blur * blur + weights.cone * cone / MAX_CONE_DISTANCE_DEG
+    if cone_rule not in get_args(ConeRule):
+        raise ValueError(f"unknown cone rule {cone_rule!r}")
+    v_bins = bin_of(layout.visual_azimuths, model.bin_size_deg)
+    blur = model.matrix.T[v_bins]
+    cone = _cone_distances(layout, model.bin_size_deg, cone_rule)
+    values = weights.blur * blur + weights.cone * cone / MAX_CONE_DISTANCE_DEG
     values.flags.writeable = False
     return ScoreMatrix(values, weights, model, layout, cone_rule)
+
+
+def _cone_distances(layout: Layout, bin_size_deg: int, cone_rule: ConeRule) -> np.ndarray:
+    """n x bin_count shortest arcs from each bin center's cone to any *other* element.
+
+    The cone is reduced to azimuths: the bin center plus its front-back
+    mirror ("point-plus-mirror"), or just the mirror ("mirror-only"). The
+    nearest other element is the nearest element overall unless that is the
+    element itself, in which case it is the second nearest. A single-element
+    layout gets the maximum since there is nothing to confuse with.
+    """
+
+    vis = layout.visual_azimuths
+    centers = bin_centers(bin_size_deg)
+    if vis.size == 1:
+        return np.full((1, centers.size), MAX_CONE_DISTANCE_DEG)
+    d = angular_distance(mirror_front_back(centers)[:, None], vis[None, :])
+    if cone_rule == "point-plus-mirror":
+        d = np.minimum(d, angular_distance(centers[:, None], vis[None, :]))
+    nearest = np.argmin(d, axis=1)
+    two = np.partition(d, 1, axis=1)
+    is_nearest = np.arange(vis.size)[:, None] == nearest[None, :]
+    return np.where(is_nearest, two[:, 1], two[:, 0])

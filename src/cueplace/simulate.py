@@ -17,28 +17,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .angles import angular_distance, bin_center, bin_centers, mirror_front_back
-from .confusion import DEFAULT_REGION_BOUNDS, ConfusionModel, region_of
+from .angles import angular_distance, bin_centers, mirror_front_back
+from .confusion import DEFAULT_REGION_BOUNDS, ConfusionModel, region_of, sample_bins
 from .layout import Layout
 from .placement import PlacementSolution
 
 
-def nearest_element_decision(perceived_azimuth_deg: float, layout: Layout) -> int:
-    """Index of the element whose visual azimuth is closest to the percept.
+def decision_by_bin(layout: Layout, bin_size_deg: int) -> np.ndarray:
+    """Element the listener picks for a percept in each bin.
 
-    Ties go to the earliest element in layout order.
+    Percepts are bin centers; the decision is the element whose visual
+    azimuth is nearest, ties going to the earliest element in layout order.
     """
 
-    d = angular_distance(perceived_azimuth_deg, layout.visual_azimuths)
-    return int(np.argmin(d))
-
-
-def _sample_rows(matrix: np.ndarray, true_bins: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one perceived bin per trial, rows varying by trial."""
-
-    cdf = np.cumsum(matrix, axis=1)
-    idx = (cdf[true_bins] <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, matrix.shape[1] - 1)
+    centers = bin_centers(bin_size_deg)
+    return np.argmin(angular_distance(centers[:, None], layout.visual_azimuths[None, :]), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +70,7 @@ def run_simulation(
 
     One random stream drives the whole run (targets first, then percepts),
     so results depend only on the seed. The listener's decision rule is
-    `nearest_element_decision`; errors are measured between the perceived
+    `decision_by_bin`; errors are measured between the perceived
     azimuth and the target element's visual azimuth.
     """
 
@@ -85,23 +78,21 @@ def run_simulation(
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = len(layout.elements)
     bins = np.array([solution.bins_by_element()[e.id] for e in layout.elements], dtype=int)
-    vis = layout.visual_azimuths
     rng = np.random.default_rng(seed)
 
     targets = rng.integers(n, size=trials)
     u = rng.random(trials)
-    perceived = _sample_rows(model.matrix, bins[targets], u)
-    perceived_az = bin_centers(model.bin_size_deg)[perceived]
+    perceived = sample_bins(model, bins[targets], u)
 
-    decided = np.argmin(angular_distance(perceived_az[:, None], vis[None, :]), axis=1)
+    decided = decision_by_bin(layout, model.bin_size_deg)[perceived]
     correct = decided == targets
     accuracy = float(correct.mean())
 
-    circular = angular_distance(perceived_az, vis[targets])
-    adjusted = np.minimum(circular, angular_distance(mirror_front_back(perceived_az), vis[targets]))
+    circ_by_bin, adj_by_bin = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
+    circular = circ_by_bin[targets, perceived]
+    adjusted = adj_by_bin[targets, perceived]
 
-    counts = np.zeros((n, n), dtype=int)
-    np.add.at(counts, (targets, decided), 1)
+    counts = np.bincount(targets * n + decided, minlength=n * n).reshape(n, n)
     counts.flags.writeable = False
     per_trials = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
@@ -131,8 +122,7 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     """
 
     bins = np.array([solution.bins_by_element()[e.id] for e in layout.elements], dtype=int)
-    centers = bin_centers(model.bin_size_deg)
-    decided = np.argmin(angular_distance(centers[:, None], layout.visual_azimuths[None, :]), axis=1)
+    decided = decision_by_bin(layout, model.bin_size_deg)
     per_element = [
         float(model.matrix[bins[i], decided == i].sum()) for i in range(len(layout.elements))
     ]
@@ -152,16 +142,32 @@ class LocalizationStats:
     trials: int
 
 
+def _errors_by_bin(target_az: np.ndarray, bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Circular and front-back-adjusted error of a percept at each bin center
+    (columns) from each target azimuth (rows)."""
+
+    centers = bin_centers(bin_size_deg)
+    circular = angular_distance(target_az[:, None], centers[None, :])
+    adjusted = np.minimum(
+        circular, angular_distance(target_az[:, None], mirror_front_back(centers)[None, :])
+    )
+    return circular, adjusted
+
+
 def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
     n = model.bin_count
     true_bins = np.repeat(np.arange(n), trials_per_bin)
     rng = np.random.default_rng(seed)
-    perceived = _sample_rows(model.matrix, true_bins, rng.random(true_bins.size))
+    perceived = sample_bins(model, true_bins, rng.random(true_bins.size))
     centers = bin_centers(model.bin_size_deg)
-    true_az, perceived_az = centers[true_bins], centers[perceived]
-    circular = angular_distance(perceived_az, true_az)
-    adjusted = np.minimum(circular, angular_distance(mirror_front_back(perceived_az), true_az))
-    return true_az, perceived_az, circular, adjusted
+    circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)
+    circular = circ_by_bin[true_bins, perceived]
+    adjusted = adj_by_bin[true_bins, perceived]
+    return true_bins, perceived, circular, adjusted
+
+
+def _regions_by_bin(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
+    return np.array([region_of(c, bounds) for c in bin_centers(bin_size_deg)])
 
 
 def table1_statistics(
@@ -182,8 +188,8 @@ def table1_statistics(
     if trials_per_bin < 1:
         raise ValueError(f"trials_per_bin must be >= 1, got {trials_per_bin}")
     bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
-    true_az, _, circular, adjusted = _error_samples(model, trials_per_bin, seed)
-    regions = np.array([region_of(a, bounds) for a in true_az])
+    true_bins, _, circular, adjusted = _error_samples(model, trials_per_bin, seed)
+    regions = _regions_by_bin(model.bin_size_deg, bounds)[true_bins]
     cone = circular - adjusted
 
     out: dict[str, LocalizationStats] = {}
@@ -213,13 +219,10 @@ def expected_localization_errors(
 
     bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
     centers = bin_centers(model.bin_size_deg)
-    circ_by_bin = angular_distance(centers[:, None], centers[None, :])  # [true, perceived]
-    adj_by_bin = np.minimum(
-        circ_by_bin, angular_distance(centers[:, None], mirror_front_back(centers)[None, :])
-    )
+    circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
     e_circ = (model.matrix * circ_by_bin).sum(axis=1)
     e_adj = (model.matrix * adj_by_bin).sum(axis=1)
-    regions = np.array([region_of(a, bounds) for a in centers])
+    regions = _regions_by_bin(model.bin_size_deg, bounds)
 
     out: dict[str, dict[str, float]] = {}
     for name in (*bounds, "all"):
@@ -238,7 +241,9 @@ def dump_trials(
     reconstructs an estimate of the model.
     """
 
-    true_az, perceived_az, _, _ = _error_samples(model, trials_per_bin, seed)
+    true_bins, perceived, _, _ = _error_samples(model, trials_per_bin, seed)
+    centers = bin_centers(model.bin_size_deg)
+    true_az, perceived_az = centers[true_bins], centers[perceived]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["true_azimuth_deg", "predicted_azimuth_deg"])

@@ -16,7 +16,7 @@ import pytest
 
 import cueplace as cp
 from cueplace.cli import main
-from tests.conftest import random_scores
+from tests.conftest import random_layout, random_scores
 from tests.test_placement import assert_feasible
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -218,3 +218,22 @@ def test_criterion_7_byte_determinism(capsys, tmp_path, calibrated_model):
         "solution JSON, report JSON, and plot CSV byte-identical across two runs",
     )
     assert ok
+
+
+def test_criterion_8_score_and_solve_runtime(capsys):
+    # end to end: criterion 6 times the solve alone, on a prebuilt matrix
+    fine_model = cp.synthesize_model(cp.calibrated_params(bin_size_deg=3))
+    layout = random_layout(np.random.default_rng(3), 100)
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        cp.solve(cp.build_score_matrix(fine_model, layout))
+        times.append((time.perf_counter() - t0) * 1e3)
+    mean_ms = fmean(times)
+    ok = mean_ms < 500.0
+    _emit(
+        capsys, 8,
+        ok,
+        f"mean-of-5 score build + solve, n=100 at 120 bins: {mean_ms:.1f} ms (< 500)",
+    )
+    assert mean_ms < 500.0

@@ -77,6 +77,22 @@ class TestSolve:
         cp.save_model(cp.identity_model(120), model)
         assert main(["solve", "--layout", str(layout), "--model", str(model)]) == 3
 
+    @pytest.mark.parametrize("weights", ["nan,0.1", "0.9,inf", "0.9,-inf"])
+    def test_non_finite_weights_are_input_errors(self, files, capsys, weights):
+        _, layout, model = files
+        assert main(["solve", "--layout", layout, "--model", model, "--weights", weights]) == 2
+        assert "weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["nan", "-5"])
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_nan_or_negative_cap_is_input_error(self, files, capsys, command, cap):
+        _, layout, model = files
+        code = main([command, "--layout", layout, "--model", model, "--max-displacement", cap])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:")
+        assert "max_displacement_deg" in err
+
     def test_missing_layout_is_input_error(self, tmp_path, capsys):
         assert main(["solve", "--layout", str(tmp_path / "none.json")]) == 2
         assert capsys.readouterr().err.startswith("error: input:")

@@ -61,6 +61,38 @@ class TestDeconflict:
         values = [e.visual_azimuth_deg for e in lay.elements]
         assert len(set(values)) == len(values)
 
+    @pytest.mark.parametrize(
+        "azimuths",
+        [[0.0, 0.0, 359.9995], [10.0, 10.0, 10.0, 10.001], [10.0, 10.0, 10.0005, 10.0005, 9.9995]],
+    )
+    def test_spread_landing_on_another_element_is_respread(self, azimuths):
+        lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
+        values = [e.visual_azimuth_deg for e in lay.elements]
+        assert len(set(values)) == len(values)
+
+    # Angles a spread step (or half of one) apart, around 0 and elsewhere,
+    # so spreads collide with other elements, plus arbitrary angles.
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [0.0, 0.0005, 0.001, 359.999, 359.9995, 9.999, 9.9995, 10.0, 10.0005, 10.001]
+                ),
+                st.floats(-720.0, 720.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200)
+    def test_distinct_and_close_for_any_input(self, azimuths):
+        lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
+        values = [e.visual_azimuth_deg for e in lay.elements]
+        assert len(set(values)) == len(values)
+        assert all(0.0 <= v < 360.0 for v in values)
+        for a, v in zip(azimuths, values):
+            assert cp.angular_distance(cp.normalize(a), v) <= len(values) * DECONFLICT_STEP_DEG
+
 
 class TestJson:
     def test_load_layout(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,29 @@ class TestDisplacementLimit:
             cp.solve(scores, max_displacement_deg=1.0)
         with pytest.raises(InfeasibleLayoutError):
             cp.brute_force_solve(scores, max_displacement_deg=1.0)
+
+
+    @pytest.mark.parametrize("cap", [float("nan"), -5.0])
+    def test_rejects_nan_and_negative_cap_as_bad_input(self, identity, side_by_side, cap):
+        scores = cp.build_score_matrix(identity, side_by_side)
+        for solver in (cp.solve, cp.brute_force_solve):
+            with pytest.raises(ValueError) as exc:
+                solver(scores, max_displacement_deg=cap)
+            assert not isinstance(exc.value, InfeasibleLayoutError)
+
+
+class TestSolverMemory:
+    def test_peak_bounded_at_finest_bins(self):
+        # 1-degree bins with one element per bin: the DP must not hold an
+        # n x bins x bins table (about 370 MB of int64 here)
+        scores = random_scores(np.random.default_rng(5), 360, cp.identity_model(1))
+        tracemalloc.start()
+        try:
+            cp.solve(scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
 
 
 class TestInfeasible:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cueplace as cp
 from cueplace.scoring import MAX_CONE_DISTANCE_DEG
+from tests.oracles import blur_probability, cone_distance, score_values
 
 
 class TestWeights:
@@ -16,40 +19,47 @@ class TestWeights:
         with pytest.raises(ValueError):
             cp.Weights(cone=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            cp.Weights(blur=bad)
+        with pytest.raises(ValueError):
+            cp.Weights(cone=bad)
+
 
 class TestBlurProbability:
     def test_identity_model(self, identity):
-        assert cp.blur_probability(identity, 90.0, 7) == 1.0
-        assert cp.blur_probability(identity, 90.0, 8) == 0.0
+        assert blur_probability(identity, 90.0, 7) == 1.0
+        assert blur_probability(identity, 90.0, 8) == 0.0
 
     def test_reads_sound_row(self, calibrated_model):
         # element in bin 0; playing from bin 2 gives P(perceived 0 | true 2)
-        assert cp.blur_probability(calibrated_model, 6.0, 2) == calibrated_model.matrix[2, 0]
+        assert blur_probability(calibrated_model, 6.0, 2) == calibrated_model.matrix[2, 0]
 
 
 class TestConeDistance:
     def test_single_element_is_max(self):
         lay = cp.Layout((cp.Element("a", 0.0),))
-        assert cp.cone_distance(lay, 0, 123.0) == MAX_CONE_DISTANCE_DEG
+        assert cone_distance(lay, 0, 123.0) == MAX_CONE_DISTANCE_DEG
 
     def test_point_plus_mirror(self):
         lay = cp.Layout((cp.Element("a", 0.0), cp.Element("b", 150.0)))
         # sound at 30: cone set {30, 150}; other element at 150 -> distance 0
-        assert cp.cone_distance(lay, 0, 30.0) == 0.0
+        assert cone_distance(lay, 0, 30.0) == 0.0
         # sound at 0: cone set {0, 180}; other at 150 -> min(150, 30) = 30
-        assert cp.cone_distance(lay, 0, 0.0) == 30.0
+        assert cone_distance(lay, 0, 0.0) == 30.0
 
     def test_mirror_only(self):
         lay = cp.Layout((cp.Element("a", 0.0), cp.Element("b", 30.0)))
         # mirror of 30 is 150; distance to the other element at 30 is 120
-        assert cp.cone_distance(lay, 0, 30.0, cone_rule="mirror-only") == 120.0
+        assert cone_distance(lay, 0, 30.0, cone_rule="mirror-only") == 120.0
         # point-plus-mirror sees the direct collision at 30
-        assert cp.cone_distance(lay, 0, 30.0) == 0.0
+        assert cone_distance(lay, 0, 30.0) == 0.0
 
     def test_unknown_rule(self):
         lay = cp.Layout((cp.Element("a", 0.0), cp.Element("b", 30.0)))
         with pytest.raises(ValueError):
-            cp.cone_distance(lay, 0, 30.0, cone_rule="bogus")
+            cone_distance(lay, 0, 30.0, cone_rule="bogus")
 
 
 class TestBuildScoreMatrix:
@@ -97,3 +107,56 @@ class TestBuildScoreMatrix:
         a = cp.build_score_matrix(calibrated_model, side_by_side)
         b = cp.build_score_matrix(calibrated_model, side_by_side, cone_rule="mirror-only")
         assert not np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unknown_rule_rejected_for_any_size(self, identity, n):
+        lay = cp.Layout(tuple(cp.Element(f"e{i}", 30.0 * i) for i in range(n)))
+        with pytest.raises(ValueError):
+            cp.build_score_matrix(identity, lay, cone_rule="bogus")
+
+
+MODELS = {
+    12: cp.synthesize_model(cp.calibrated_params(12)),
+    3: cp.synthesize_model(cp.calibrated_params(3)),
+    30: cp.identity_model(30),
+}
+# Bin centers and edges, the interaural axis, and a mirror pair, so that
+# exact ties between elements and between a point and its mirror occur.
+SPECIAL_AZIMUTHS = [0.0, 6.0, 12.0, 30.0, 90.0, 150.0, 174.0, 180.0, 186.0, 270.0, 354.0]
+azimuths = st.one_of(
+    st.sampled_from(SPECIAL_AZIMUTHS),
+    st.floats(0.0, 360.0, exclude_max=True, allow_nan=False),
+)
+
+
+class TestScoreMatrixMatchesScalarOracle:
+    @given(
+        az=st.lists(azimuths, min_size=1, max_size=8),
+        bin_size=st.sampled_from(sorted(MODELS)),
+        cone_rule=st.sampled_from(["point-plus-mirror", "mirror-only"]),
+        weights=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    )
+    @settings(max_examples=150)
+    def test_array_equal(self, az, bin_size, cone_rule, weights):
+        model = MODELS[bin_size]
+        layout = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(az)))
+        w = cp.Weights(*weights)
+        got = cp.build_score_matrix(model, layout, w, cone_rule).values
+        assert np.array_equal(got, score_values(model, layout, w, cone_rule))
+
+    @pytest.mark.parametrize(
+        "az",
+        [
+            [90.0],
+            [90.0, 270.0],
+            [30.0, 150.0],  # mirror pair: every cone touches both
+            [30.0, 150.0, 210.0, 330.0],
+            [0.0, 0.0, 359.9995],  # colliding, spread by deconfliction
+            [10.0, 10.0, 10.0, 10.001],
+        ],
+    )
+    @pytest.mark.parametrize("cone_rule", ["point-plus-mirror", "mirror-only"])
+    def test_named_layouts(self, calibrated_model, az, cone_rule):
+        layout = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(az)))
+        got = cp.build_score_matrix(calibrated_model, layout, cone_rule=cone_rule).values
+        assert np.array_equal(got, score_values(calibrated_model, layout, cone_rule=cone_rule))

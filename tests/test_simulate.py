@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cueplace as cp
+from cueplace.confusion import sample_bins
 from cueplace.simulate import expected_accuracy
 from tests.conftest import random_layout
+from tests.oracles import gather_sample_rows, nearest_element_decision, table1_per_trial
 
 CENTERED = cp.Layout((cp.Element("a", 6.0), cp.Element("b", 90.0), cp.Element("c", 186.0)))
 
@@ -17,15 +22,74 @@ def solved(model, layout, **kwargs):
 class TestDecision:
     def test_nearest(self):
         lay = cp.Layout((cp.Element("a", 0.0), cp.Element("b", 100.0)))
-        assert cp.nearest_element_decision(20.0, lay) == 0
-        assert cp.nearest_element_decision(80.0, lay) == 1
-        assert cp.nearest_element_decision(310.0, lay) == 0
+        assert nearest_element_decision(20.0, lay) == 0
+        assert nearest_element_decision(80.0, lay) == 1
+        assert nearest_element_decision(310.0, lay) == 0
 
     def test_tie_goes_to_first_element(self):
         lay = cp.Layout((cp.Element("a", 0.0), cp.Element("b", 100.0)))
-        assert cp.nearest_element_decision(50.0, lay) == 0
+        assert nearest_element_decision(50.0, lay) == 0
         lay2 = cp.Layout((cp.Element("b", 100.0), cp.Element("a", 0.0)))
-        assert cp.nearest_element_decision(50.0, lay2) == 0
+        assert nearest_element_decision(50.0, lay2) == 0
+
+
+class TestDecisionByBin:
+    def test_tie_goes_to_first_element(self):
+        # bin 4 of 12 degrees has its center at 54, equidistant from 0 and 108
+        for first, second in (("a", "b"), ("b", "a")):
+            lay = cp.Layout((cp.Element(first, 0.0), cp.Element(second, 108.0)))
+            assert cp.decision_by_bin(lay, 12)[4] == 0
+
+    @given(
+        az=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 6.0, 54.0, 90.0, 108.0, 180.0, 270.0]),
+                st.floats(0.0, 360.0, exclude_max=True, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        bin_size=st.sampled_from([1, 3, 12, 30]),
+    )
+    @settings(max_examples=100)
+    def test_matches_per_percept_oracle(self, az, bin_size):
+        lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(az)))
+        expected = [nearest_element_decision(c, lay) for c in cp.bin_centers(bin_size)]
+        assert np.array_equal(cp.decision_by_bin(lay, bin_size), expected)
+
+
+class TestSampler:
+    @given(
+        data=st.data(),
+        bins=st.sampled_from([2, 3, 5, 30]),
+        trials=st.integers(1, 200),
+    )
+    @settings(max_examples=60)
+    def test_matches_gather_sampler(self, data, bins, trials):
+        # weights include exact zeros, so rows have flat CDF stretches
+        raw = data.draw(
+            hnp.arrays(float, (bins, bins), elements=st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]))
+        )
+        raw[:, 0] += 1.0  # no empty row
+        matrix = raw / raw.sum(axis=1, keepdims=True)
+        model = cp.ConfusionModel(360 // bins, matrix)
+        true_bins = data.draw(hnp.arrays(np.int64, trials, elements=st.integers(0, bins - 1)))
+        u = data.draw(
+            hnp.arrays(
+                float, trials,
+                elements=st.one_of(
+                    st.floats(0.0, 1.0, exclude_max=True),
+                    st.sampled_from(sorted(set(np.cumsum(matrix, axis=1).ravel()))),
+                ),
+            )
+        )
+        assert np.array_equal(sample_bins(model, true_bins, u), gather_sample_rows(matrix, true_bins, u))
+
+    def test_sample_perceived_matches_gather_sampler(self, calibrated_model):
+        draws = cp.sample_perceived(calibrated_model, 7, np.random.default_rng(3), size=5000)
+        u = np.random.default_rng(3).random(5000)
+        expected = gather_sample_rows(calibrated_model.matrix, np.full(5000, 7), u)
+        assert np.array_equal(draws, expected)
 
 
 class TestRunSimulation:
@@ -154,6 +218,17 @@ class TestTable1Statistics:
     def test_rejects_bad_budget(self, identity):
         with pytest.raises(ValueError):
             cp.table1_statistics(identity, trials_per_bin=0)
+
+    @given(
+        bin_size=st.sampled_from([3, 12, 30]),
+        trials_per_bin=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25)
+    def test_matches_per_trial_regions(self, bin_size, trials_per_bin, seed):
+        model = cp.synthesize_model(cp.calibrated_params(bin_size))
+        got = cp.table1_statistics(model, trials_per_bin=trials_per_bin, seed=seed)
+        assert got == table1_per_trial(model, trials_per_bin, seed)
 
 
 class TestDumpTrials:
