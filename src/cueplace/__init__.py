@@ -13,7 +13,6 @@ from .angles import (
     bin_centers,
     bin_count_for,
     bin_of,
-    cone_set,
     mirror_front_back,
     normalize,
 )
@@ -40,7 +39,6 @@ from .placement import (
     Assignment,
     InfeasibleLayoutError,
     PlacementSolution,
-    brute_force_solve,
     colocated_solution,
     solve,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "normalize",
     "angular_distance",
     "mirror_front_back",
-    "cone_set",
     "bin_of",
     "bin_center",
     "bin_centers",
@@ -95,7 +92,6 @@ __all__ = [
     "PlacementSolution",
     "InfeasibleLayoutError",
     "solve",
-    "brute_force_solve",
     "colocated_solution",
     "decision_by_bin",
     "run_simulation",

@@ -12,7 +12,6 @@ __all__ = [
     "normalize",
     "angular_distance",
     "mirror_front_back",
-    "cone_set",
     "bin_count_for",
     "bin_of",
     "bin_center",
@@ -48,16 +47,6 @@ def mirror_front_back(a):
     """
 
     return normalize(180.0 - np.asarray(a, dtype=float))
-
-
-def cone_set(a: float) -> set[float]:
-    """Azimuth reduction of the cone of confusion: {a, mirror(a)}.
-
-    Degenerates to a singleton on the interaural axis (90 or 270).
-    """
-
-    a = float(a)
-    return {a, mirror_front_back(a)}
 
 
 def _check_bin_size(bin_size_deg: int) -> int:

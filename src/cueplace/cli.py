@@ -3,7 +3,7 @@
 Subcommands: solve (optimize a layout's sound placement), eval (virtual
 listener comparison of strategies), synth-model (write the calibrated
 synthetic confusion model), inspect-model (summary statistics of a model
-file), bench (solver timings).
+file), table1 (simulated per-region localization-error statistics).
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible instance, 4 internal
 error. Diagnostics go to stderr as single `error: <kind>: <message>` lines.
@@ -19,12 +19,8 @@ import json
 import sys
 import time
 from pathlib import Path
-from statistics import fmean
-
-import numpy as np
 
 from . import __version__
-from .angles import bin_count_for
 from .confusion import (
     ConfusionModel,
     ModelFormatError,
@@ -36,7 +32,7 @@ from .confusion import (
     save_model,
     synthesize_model,
 )
-from .layout import Element, Layout, LayoutError, load_layout
+from .layout import Layout, LayoutError, load_layout
 from .placement import InfeasibleLayoutError, PlacementSolution, colocated_solution, solve
 from .scoring import ScoreMatrix, Weights, build_score_matrix
 from .simulate import dump_trials, expected_localization_errors, run_simulation, table1_statistics
@@ -45,8 +41,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
-
-BENCH_SIZES = (2, 5, 10, 20, 50, 100)
 
 
 def _emit_json(obj, out: str) -> None:
@@ -90,19 +84,23 @@ def _parse_weights(text: str) -> Weights:
     return Weights(blur=float(parts[0]), cone=float(parts[1]))
 
 
+def _load_model(args) -> ConfusionModel:
+    return load_model(args.model) if args.model else synthesize_model(calibrated_params())
+
+
 def _load_inputs(args) -> tuple[Layout, ConfusionModel]:
-    layout = load_layout(args.layout)
-    model = load_model(args.model) if args.model else synthesize_model(calibrated_params())
-    return layout, model
+    return load_layout(args.layout), _load_model(args)
 
 
 def _cmd_solve(args) -> int:
     layout, model = _load_inputs(args)
     weights = _parse_weights(args.weights)
     scores = build_score_matrix(model, layout, weights, args.cone_rule)
+    t0 = time.perf_counter()
     solution = solve(scores, max_displacement_deg=args.max_displacement)
+    solve_ms = (time.perf_counter() - t0) * 1e3
     _emit_json(_solution_dict(solution, scores, args.max_displacement), args.out)
-    print(f"solved n={len(layout)} in {solution.solve_time_s * 1e3:.2f} ms", file=sys.stderr)
+    print(f"solved n={len(layout)} in {solve_ms:.2f} ms", file=sys.stderr)
     return EXIT_OK
 
 
@@ -209,47 +207,8 @@ def _cmd_inspect_model(args) -> int:
     return EXIT_OK
 
 
-def _bench_bin_size(n: int) -> int:
-    for size in (12, 10, 9, 8, 6, 5, 4, 3, 2, 1):
-        if bin_count_for(size) >= n:
-            return size
-    raise InfeasibleLayoutError(f"no supported bin size fits {n} elements")
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else list(BENCH_SIZES)
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    print("n,bin_size_deg,bin_count,mean_ms,min_ms,max_ms,repeats")
-    for n in sizes:
-        bin_size = _bench_bin_size(n)
-        model = synthesize_model(calibrated_params(bin_size_deg=bin_size))
-        layout = Layout(
-            tuple(
-                Element(id=f"e{i}", visual_azimuth_deg=float(a))
-                for i, a in enumerate(np.sort(rng.uniform(0.0, 360.0, size=n)))
-            )
-        )
-        scores = build_score_matrix(model, layout)
-        times = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            solve(scores)
-            times.append((time.perf_counter() - t0) * 1e3)
-        row = (
-            f"{n},{bin_size},{bin_count_for(bin_size)},"
-            f"{fmean(times):.3f},{min(times):.3f},{max(times):.3f},{args.repeats}"
-        )
-        rows.append(row)
-        print(row)
-    if args.out:
-        header = "n,bin_size_deg,bin_count,mean_ms,min_ms,max_ms,repeats"
-        Path(args.out).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-    return EXIT_OK
-
-
 def _cmd_table1(args) -> int:
-    model = load_model(args.model) if args.model else synthesize_model(calibrated_params())
+    model = _load_model(args)
     stats = table1_statistics(model, trials_per_bin=args.trials_per_bin, seed=args.seed)
     out = {
         "trials_per_bin": args.trials_per_bin,
@@ -329,13 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("bench", help="solver timings over a range of layout sizes")
-    p.add_argument("--sizes", default=None, help="comma-separated element counts")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write timings CSV here too")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

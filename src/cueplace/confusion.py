@@ -10,6 +10,7 @@ front-back flip component).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -84,8 +85,8 @@ class SyntheticModelParams:
 
     Per region: `blur_sd_deg` is the wrapped-Gaussian localization blur and
     `flip_prob` the probability that the percept forms around the front-back
-    mirror of the true angle instead of the true angle itself. The seed is
-    carried for provenance; the construction itself is closed-form.
+    mirror of the true angle instead of the true angle itself. The
+    construction is closed-form, so no seed is involved.
     """
 
     blur_sd_deg: Mapping[str, float]
@@ -94,7 +95,6 @@ class SyntheticModelParams:
         default_factory=lambda: dict(DEFAULT_REGION_BOUNDS)
     )
     bin_size_deg: int = 12
-    seed: int = 0
 
     def __post_init__(self):
         _check_region_bounds(self.region_bounds_deg)
@@ -108,11 +108,12 @@ class SyntheticModelParams:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SyntheticModelParams":
-        known = {"blur_sd_deg", "flip_prob", "region_bounds_deg", "bin_size_deg", "seed"}
-        unknown = set(d) - known
+        known = {"blur_sd_deg", "flip_prob", "region_bounds_deg", "bin_size_deg"}
+        # earlier versions wrote an unused "seed"; such files still load
+        kwargs = {k: v for k, v in d.items() if k != "seed"}
+        unknown = set(kwargs) - known
         if unknown:
             raise ModelFormatError(f"unknown synthetic-parameter fields: {sorted(unknown)}")
-        kwargs = dict(d)
         if "region_bounds_deg" in kwargs:
             kwargs["region_bounds_deg"] = {
                 k: (float(lo), float(hi)) for k, (lo, hi) in kwargs["region_bounds_deg"].items()
@@ -125,25 +126,27 @@ class SyntheticModelParams:
             "flip_prob": {k: float(v) for k, v in self.flip_prob.items()},
             "region_bounds_deg": {k: list(v) for k, v in self.region_bounds_deg.items()},
             "bin_size_deg": self.bin_size_deg,
-            "seed": self.seed,
         }
 
 
 @dataclass(frozen=True, eq=False)
 class ConfusionModel:
-    """Row-stochastic azimuth confusion matrix. Immutable once constructed."""
+    """Azimuth confusion matrix. Immutable once constructed.
+
+    Construction keeps a read-only float copy of `matrix` and checks that it
+    is bin_count x bin_count for the bin size, finite and within [0, 1], so
+    every row CDF is non-decreasing. Rows summing to 1 is checked by
+    `validate`, whose tolerance depends on where the matrix came from.
+    """
 
     bin_size_deg: int
     matrix: np.ndarray
     provenance: str = "synthetic"
-    synthetic_params: SyntheticModelParams | None = None
 
-    @property
-    def bin_count(self) -> int:
-        return self.matrix.shape[0]
-
-    def validate(self, row_sum_tol: float = 1e-9) -> None:
-        m = self.matrix
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=float)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
         n = bin_count_for(self.bin_size_deg)
         if m.shape != (n, n):
             raise ModelFormatError(
@@ -158,7 +161,15 @@ class ConfusionModel:
                 row=int(r),
                 column=int(c),
             )
-        sums = m.sum(axis=1)
+
+    @property
+    def bin_count(self) -> int:
+        return self.matrix.shape[0]
+
+    def validate(self, row_sum_tol: float = 1e-9) -> None:
+        """Check that every row sums to 1 within `row_sum_tol`."""
+
+        sums = self.matrix.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > row_sum_tol)
         if bad.size:
             r = int(bad[0])
@@ -167,17 +178,11 @@ class ConfusionModel:
             )
 
 
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    matrix.flags.writeable = False
-    return matrix
-
-
 def identity_model(bin_size_deg: int = 12) -> ConfusionModel:
     """Perfect listener: every cue is perceived in its own bin."""
 
     n = bin_count_for(bin_size_deg)
-    return ConfusionModel(bin_size_deg, _freeze(np.eye(n)), provenance="synthetic")
+    return ConfusionModel(bin_size_deg, np.eye(n), provenance="synthetic")
 
 
 def load_model(path: str | Path, renormalize: bool = False) -> ConfusionModel:
@@ -227,8 +232,8 @@ def load_model(path: str | Path, renormalize: bool = False) -> ConfusionModel:
             r = int(np.flatnonzero(sums.ravel() <= 0)[0])
             raise ModelFormatError(f"{path}: row {r} has non-positive mass, cannot renormalize", row=r)
         matrix = matrix / sums
-    model = ConfusionModel(bin_size, _freeze(matrix), provenance="empirical_file")
     try:
+        model = ConfusionModel(bin_size, matrix, provenance="empirical_file")
         model.validate(row_sum_tol=1e-9 if renormalize else 1e-6)
     except ModelFormatError as e:
         raise ModelFormatError(f"{path}: {e}", row=e.row, column=e.column) from None
@@ -252,7 +257,8 @@ def model_from_trials(path: str | Path, bin_size_deg: int = 12) -> ConfusionMode
 
     path = Path(path)
     n = bin_count_for(bin_size_deg)
-    counts = np.zeros((n, n))
+    true_deg: list[float] = []
+    perceived_deg: list[float] = []
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -270,12 +276,18 @@ def model_from_trials(path: str | Path, bin_size_deg: int = 12) -> ConfusionMode
                 t, p = float(row[0]), float(row[1])
             except (ValueError, IndexError):
                 raise ModelFormatError(f"{path}: trial row {i}: malformed: {row!r}", row=i) from None
-            counts[bin_of(normalize(t), bin_size_deg), bin_of(normalize(p), bin_size_deg)] += 1
+            if not (math.isfinite(t) and math.isfinite(p)):
+                raise ModelFormatError(f"{path}: trial row {i}: azimuth not finite: {row!r}", row=i)
+            true_deg.append(t)
+            perceived_deg.append(p)
+    true_bins = bin_of(np.array(true_deg), bin_size_deg)
+    perceived_bins = bin_of(np.array(perceived_deg), bin_size_deg)
+    counts = np.bincount(true_bins * n + perceived_bins, minlength=n * n).reshape(n, n)
     empty = np.flatnonzero(counts.sum(axis=1) == 0)
     if empty.size:
         raise ModelFormatError(f"{path}: no trials for true bin {int(empty[0])}", row=int(empty[0]))
     matrix = counts / counts.sum(axis=1, keepdims=True)
-    model = ConfusionModel(bin_size_deg, _freeze(matrix), provenance="empirical_file")
+    model = ConfusionModel(bin_size_deg, matrix, provenance="empirical_file")
     model.validate(row_sum_tol=1e-9)
     return model
 
@@ -312,14 +324,12 @@ def synthesize_model(params: SyntheticModelParams) -> ConfusionModel:
         if flip > 0.0:
             row += flip * _wrapped_normal_bin_mass(mirror_front_back(theta), sd, edges)
         matrix[t] = row / row.sum()
-    model = ConfusionModel(
-        params.bin_size_deg, _freeze(matrix), provenance="synthetic", synthetic_params=params
-    )
+    model = ConfusionModel(params.bin_size_deg, matrix, provenance="synthetic")
     model.validate(row_sum_tol=1e-9)
     return model
 
 
-def calibrated_params(bin_size_deg: int = 12, seed: int = 0) -> SyntheticModelParams:
+def calibrated_params(bin_size_deg: int = 12) -> SyntheticModelParams:
     """Synthetic-listener parameters fitted to LOCALIZATION_ERROR_TARGETS.
 
     Values produced by scripts/calibrate_confusion.py, which matches the
@@ -341,7 +351,6 @@ def calibrated_params(bin_size_deg: int = 12, seed: int = 0) -> SyntheticModelPa
             "left": 0.24,
         },
         bin_size_deg=bin_size_deg,
-        seed=seed,
     )
 
 
@@ -350,9 +359,9 @@ def sample_bins(model: ConfusionModel, true_bins: np.ndarray, u: np.ndarray) -> 
 
     The cue of trial k plays in `true_bins[k]` and is perceived in the bin
     numbered by how many of that row's CDF entries are at or below the
-    uniform `u[k]`, capped at the last bin. Both arguments are 1-d. Rows are
-    non-negative, so each CDF is non-decreasing and one binary search per
-    distinct true bin finds that count, in O(trials) memory.
+    uniform `u[k]`, capped at the last bin. Both arguments are 1-d. The model
+    keeps its entries non-negative, so each CDF is non-decreasing and one
+    binary search per distinct true bin finds that count, in O(trials) memory.
     """
 
     cdf = np.cumsum(model.matrix, axis=1)

@@ -3,35 +3,29 @@ pairwise-distinct bins and preserved circular ordering.
 
 Feasible assignments are exactly those that become strictly increasing in
 bin index after cutting the bin circle at some rotation, with elements read
-in ascending visual-azimuth order. Both solvers therefore enumerate all
-bin_count cut rotations; `solve` runs an exact dynamic program per cut,
-`brute_force_solve` enumerates every increasing assignment and exists as an
-independent check on the DP.
+in ascending visual-azimuth order. `solve` therefore runs an exact dynamic
+program over all bin_count cut rotations at once.
 
-Internally scores are quantized onto a relative 2**-40 integer grid so both
-solvers compare path sums in exact arithmetic; float addition is not
-associative, and near-ties would otherwise let the two solvers disagree.
-Shared tie-break on that grid: highest total, then lowest cut rotation,
-then the lexicographically smallest original-bin sequence in circular
-element order. The reported objective is the exact float sum of the chosen
-per-element scores.
+Internally scores are quantized onto a relative 2**-40 integer grid so path
+sums compare in exact arithmetic; float addition is not associative, and
+near-ties would otherwise depend on the order of the work. Tie-break on
+that grid: highest total, then lowest cut rotation, then the
+lexicographically smallest original-bin sequence in circular element order.
+The reported objective is the exact float sum of the chosen per-element
+scores. The brute-force reference in tests/oracles.py enumerates every
+increasing assignment on the same grid and must agree exactly, tie-break
+included.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .angles import angular_distance, bin_center, bin_centers, bin_of
 from .scoring import ScoreMatrix
-
-BRUTE_FORCE_MAX_ELEMENTS = 5
-BRUTE_FORCE_MAX_BINS = 36
 
 # Relative quantization grid for exact integer comparisons. One part in
 # 2**40 of the largest |score| is far below any meaningful score difference.
@@ -70,7 +64,6 @@ class PlacementSolution:
     per_element_score: tuple[float, ...]
     solver: str
     cut_rotation: int
-    solve_time_s: float
     warning: str | None = None
 
     def bins_by_element(self) -> dict[str, int]:
@@ -120,7 +113,6 @@ def _finish(
     bins_in_order: np.ndarray,
     solver: str,
     cut: int,
-    t0: float,
     warning: str | None = None,
 ) -> PlacementSolution:
     layout = scores.layout
@@ -145,7 +137,6 @@ def _finish(
         per_element_score=tuple(per_score),
         solver=solver,
         cut_rotation=int(cut),
-        solve_time_s=time.perf_counter() - t0,
         warning=warning,
     )
 
@@ -158,7 +149,6 @@ def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> Pla
     moving a sound farther than that from its element's visual azimuth.
     """
 
-    t0 = time.perf_counter()
     _check_instance(scores)
     order, q = _ordered_quantized(scores, max_displacement_deg)
     n, bins = q.shape
@@ -178,7 +168,7 @@ def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> Pla
     if per_cut_best[cut] <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
     bins_in_order = _extract_lex_min(q, cut)
-    return _finish(scores, order, bins_in_order, "dp_exact", cut, t0)
+    return _finish(scores, order, bins_in_order, "dp_exact", cut)
 
 
 def _extract_lex_min(q: np.ndarray, cut: int) -> np.ndarray:
@@ -212,54 +202,9 @@ def _extract_lex_min(q: np.ndarray, cut: int) -> np.ndarray:
     return chosen
 
 
-@lru_cache(maxsize=8)
-def _combos(bins: int, n: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(bins), n)), dtype=int)
-
-
-def brute_force_solve(
-    scores: ScoreMatrix, max_displacement_deg: float | None = None
-) -> PlacementSolution:
-    """Exhaustive reference solver; agrees with `solve` including tie-break.
-
-    Refuses instances beyond n=5 elements or 36 bins to bound the
-    enumeration.
-    """
-
-    t0 = time.perf_counter()
-    _check_instance(scores)
-    n, bins = scores.values.shape
-    if n > BRUTE_FORCE_MAX_ELEMENTS or bins > BRUTE_FORCE_MAX_BINS:
-        raise ValueError(
-            f"instance too large for brute force (n={n}, bins={bins}); "
-            f"limits are n<={BRUTE_FORCE_MAX_ELEMENTS}, bins<={BRUTE_FORCE_MAX_BINS}"
-        )
-    order, q = _ordered_quantized(scores, max_displacement_deg)
-    combos = _combos(bins, n)
-    pos = np.arange(bins)
-    best = np.int64(MASKED) * n
-    best_cut = -1
-    best_bins: tuple[int, ...] | None = None
-    for cut in range(bins):
-        orig = (pos + cut) % bins
-        qrot = q[:, orig]
-        vals = qrot[0][combos[:, 0]].copy()
-        for i in range(1, n):
-            vals += qrot[i][combos[:, i]]
-        top = vals.max()
-        if top > best:  # strict: earlier cuts keep ties
-            best = top
-            best_cut = cut
-            best_bins = min(map(tuple, orig[combos[vals == top]]))
-    if best <= INFEASIBLE_THRESHOLD:
-        _raise_infeasible()
-    return _finish(scores, order, np.array(best_bins, dtype=int), "brute_force", best_cut, t0)
-
-
 def colocated_solution(scores: ScoreMatrix) -> PlacementSolution:
     """Baseline: every sound plays from its element's own visual bin."""
 
-    t0 = time.perf_counter()
     _check_instance(scores)
     layout = scores.layout
     order = layout.circular_order()
@@ -270,4 +215,4 @@ def colocated_solution(scores: ScoreMatrix) -> PlacementSolution:
     warning = None
     if len(set(bins_in_order.tolist())) != len(bins_in_order):
         warning = "degenerate baseline: multiple elements share a visual bin"
-    return _finish(scores, order, bins_in_order, "colocated", 0, t0, warning=warning)
+    return _finish(scores, order, bins_in_order, "colocated", 0, warning=warning)

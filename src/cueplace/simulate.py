@@ -34,6 +34,13 @@ def decision_by_bin(layout: Layout, bin_size_deg: int) -> np.ndarray:
     return np.argmin(angular_distance(centers[:, None], layout.visual_azimuths[None, :]), axis=1)
 
 
+def _bins_in_layout_order(solution: PlacementSolution, layout: Layout) -> np.ndarray:
+    """Sound bin of each layout element, in layout order."""
+
+    by_id = solution.bins_by_element()
+    return np.array([by_id[e.id] for e in layout.elements], dtype=int)
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
     """Outcome of a virtual-listener run for one placement strategy."""
@@ -77,7 +84,7 @@ def run_simulation(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = len(layout.elements)
-    bins = np.array([solution.bins_by_element()[e.id] for e in layout.elements], dtype=int)
+    bins = _bins_in_layout_order(solution, layout)
     rng = np.random.default_rng(seed)
 
     targets = rng.integers(n, size=trials)
@@ -121,7 +128,7 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     converges to this value.
     """
 
-    bins = np.array([solution.bins_by_element()[e.id] for e in layout.elements], dtype=int)
+    bins = _bins_in_layout_order(solution, layout)
     decided = decision_by_bin(layout, model.bin_size_deg)
     per_element = [
         float(model.matrix[bins[i], decided == i].sum()) for i in range(len(layout.elements))

@@ -1,21 +1,48 @@
-"""Scalar reference implementations that the array paths are checked against.
+"""Reference implementations that the library is checked against.
 
-Each function computes one cell, one percept or one trial at a time, the
-way the definitions read. The library's vectorized versions must agree with
-them exactly (`np.array_equal`), not within a tolerance: the arithmetic per
-element is the same, only the looping moved into NumPy.
+Most functions compute one cell, one percept, one trial or one file row at
+a time, the way the definitions read. The library's vectorized versions
+must agree with them exactly (`np.array_equal`), not within a tolerance:
+the arithmetic per element is the same, only the looping moved into NumPy.
+`brute_force_solve` enumerates every feasible assignment as an independent
+check on the solver's dynamic program.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
+from functools import lru_cache
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 import cueplace as cp
-from cueplace.angles import angular_distance, bin_center, bin_centers, bin_of, cone_set
+from cueplace.angles import angular_distance, bin_center, bin_centers, bin_of, normalize
 from cueplace.confusion import DEFAULT_REGION_BOUNDS, region_of
+from cueplace.placement import (
+    INFEASIBLE_THRESHOLD,
+    MASKED,
+    _check_instance,
+    _finish,
+    _ordered_quantized,
+    _raise_infeasible,
+)
 from cueplace.scoring import MAX_CONE_DISTANCE_DEG
+
+BRUTE_FORCE_MAX_ELEMENTS = 5
+BRUTE_FORCE_MAX_BINS = 36
+
+
+def cone_set(a: float) -> set[float]:
+    """Azimuth reduction of the cone of confusion: {a, mirror(a)}.
+
+    Degenerates to a singleton on the interaural axis (90 or 270).
+    """
+
+    a = float(a)
+    return {a, cp.mirror_front_back(a)}
 
 
 def blur_probability(model: cp.ConfusionModel, visual_azimuth_deg: float, sound_bin: int) -> float:
@@ -123,3 +150,61 @@ def table1_per_trial(
             trials=int(m.sum()),
         )
     return out
+
+
+@lru_cache(maxsize=8)
+def _combos(bins: int, n: int) -> np.ndarray:
+    return np.array(list(itertools.combinations(range(bins), n)), dtype=int)
+
+
+def brute_force_solve(
+    scores: cp.ScoreMatrix, max_displacement_deg: float | None = None
+) -> cp.PlacementSolution:
+    """Exhaustive reference solver; `solve` must agree including tie-break.
+
+    Refuses instances beyond n=5 elements or 36 bins to bound the
+    enumeration.
+    """
+
+    _check_instance(scores)
+    n, bins = scores.values.shape
+    if n > BRUTE_FORCE_MAX_ELEMENTS or bins > BRUTE_FORCE_MAX_BINS:
+        raise ValueError(
+            f"instance too large for brute force (n={n}, bins={bins}); "
+            f"limits are n<={BRUTE_FORCE_MAX_ELEMENTS}, bins<={BRUTE_FORCE_MAX_BINS}"
+        )
+    order, q = _ordered_quantized(scores, max_displacement_deg)
+    combos = _combos(bins, n)
+    pos = np.arange(bins)
+    best = np.int64(MASKED) * n
+    best_cut = -1
+    best_bins: tuple[int, ...] | None = None
+    for cut in range(bins):
+        orig = (pos + cut) % bins
+        qrot = q[:, orig]
+        vals = qrot[0][combos[:, 0]].copy()
+        for i in range(1, n):
+            vals += qrot[i][combos[:, i]]
+        top = vals.max()
+        if top > best:  # strict: earlier cuts keep ties
+            best = top
+            best_cut = cut
+            best_bins = min(map(tuple, orig[combos[vals == top]]))
+    if best <= INFEASIBLE_THRESHOLD:
+        _raise_infeasible()
+    return _finish(scores, order, np.array(best_bins, dtype=int), "brute_force", best_cut)
+
+
+def trial_counts(path: str | Path, bin_size_deg: int) -> np.ndarray:
+    """`model_from_trials` counts, binning each file row on its own."""
+
+    n = cp.bin_count_for(bin_size_deg)
+    counts = np.zeros((n, n))
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for row in rows:
+            if row and "".join(row).strip():
+                t, p = float(row[0]), float(row[1])
+                counts[bin_of(normalize(t), bin_size_deg), bin_of(normalize(p), bin_size_deg)] += 1
+    return counts

@@ -17,6 +17,7 @@ import pytest
 import cueplace as cp
 from cueplace.cli import main
 from tests.conftest import random_layout, random_scores
+from tests.oracles import brute_force_solve
 from tests.test_placement import assert_feasible
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -54,7 +55,7 @@ def test_criterion_1_solver_exactness(capsys, identity):
         n = k % 4 + 1
         scores = random_scores(rng, n, identity, quantize=0.05 if k % 2 else None)
         dp = cp.solve(scores)
-        bf = cp.brute_force_solve(scores)
+        bf = brute_force_solve(scores)
         same = (
             dp.objective == bf.objective
             and [a.sound_bin for a in dp.assignments] == [a.sound_bin for a in bf.assignments]

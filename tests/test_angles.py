@@ -9,10 +9,10 @@ from cueplace import (
     bin_centers,
     bin_count_for,
     bin_of,
-    cone_set,
     mirror_front_back,
     normalize,
 )
+from tests.oracles import cone_set
 
 finite_angles = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False

@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cueplace as cp
 from cueplace.cli import main
@@ -171,6 +178,20 @@ class TestModelCommands:
         loaded = cp.load_model(out)
         assert loaded.bin_count == 30
 
+    def test_synth_params_file_with_legacy_seed(self, tmp_path):
+        # params files written by earlier versions carry an unused "seed"
+        params = cp.calibrated_params().to_dict()
+        outputs = []
+        for name, d in (("plain", params), ("seeded", {**params, "seed": 7})):
+            params_path = tmp_path / f"{name}.json"
+            params_path.write_text(json.dumps(d))
+            out = tmp_path / f"{name}.csv"
+            assert main(["synth-model", "--out", str(out), "--params", str(params_path)]) == 0
+            outputs.append(out.read_bytes())
+        default = tmp_path / "default.csv"
+        assert main(["synth-model", "--out", str(default)]) == 0
+        assert outputs[0] == outputs[1] == default.read_bytes()
+
     def test_synth_conflicting_bin_size(self, tmp_path):
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps(cp.calibrated_params().to_dict()))
@@ -205,24 +226,110 @@ class TestModelCommands:
         assert stats["regions"]["all"]["trials"] == 1500
 
 
-class TestBench:
-    def test_smoke(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "2,3", "--repeats", "2", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "n,bin_size_deg,bin_count,mean_ms,min_ms,max_ms,repeats"
-        assert len(lines) == 3
-        assert lines[1].startswith("2,12,30,")
-
-
 class TestParser:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert cp.__version__ in capsys.readouterr().out
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def layout_texts(draw):
+    """Layout JSON: mostly well-formed, with odd azimuths, repeated ids or bad JSON."""
+
+    if draw(st.integers(0, 5)) == 0:
+        return draw(
+            st.sampled_from(["", "{", "[]", '{"elements": 3}', '{"elements": [{"id": "a"}]}'])
+        )
+    azimuths = draw(st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=8))
+    ids = [f"e{i}" for i in range(len(azimuths))]
+    if draw(st.integers(0, 5)) == 0:
+        azimuths[-1] = draw(any_float)
+    if draw(st.integers(0, 5)) == 0:
+        ids[-1] = ids[0]
+    elements = [{"id": i, "azimuth_deg": a} for i, a in zip(ids, azimuths)]
+    return json.dumps({"elements": elements})
+
+
+@st.composite
+def model_texts(draw):
+    """Model CSV text: a valid matrix, or one with a bad cell, shape or header."""
+
+    size = draw(st.sampled_from([30, 45, 60]))  # bin centres cover every region
+    n = 360 // size
+    matrix = np.eye(n) if draw(st.booleans()) else np.full((n, n), 1.0 / n)
+    kind = draw(st.sampled_from(["valid", "valid", "cell", "shape", "text"]))
+    if kind == "cell":  # negative, > 1, NaN, inf, or a row-sum error
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[r, c] = draw(any_float)
+    elif kind == "shape":
+        rows, cols = draw(st.integers(0, n + 1)), draw(st.integers(1, n + 1))
+        matrix = np.full((rows, cols), 1.0 / cols)
+    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
+    if kind == "text" and lines:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=8))
+    header = f"bin_size_deg,{size}"
+    if draw(st.integers(0, 4)) == 0:
+        header = draw(st.sampled_from(["", "bin_size_deg,7", "bins,12", "bin_size_deg,x"]))
+    return "\n".join([header, *lines]) + "\n"
+
+
+unit = st.floats(0.0, 1.0)
+weight_texts = st.one_of(
+    st.tuples(unit, unit).map(lambda w: f"{w[0]!r},{w[1]!r}"),
+    st.tuples(any_float, any_float).map(lambda w: f"{w[0]!r},{w[1]!r}"),
+    st.text(max_size=6),
+)
+
+
+class TestFuzz:
+    """Any layout, model file, weights or cap ends in exit 0, 2 or 3, never 4."""
+
+    @given(
+        command=st.sampled_from(["solve", "eval", "inspect-model", "table1"]),
+        layout=layout_texts(),
+        model=st.one_of(st.none(), model_texts(), st.just("missing")),
+        weights=weight_texts,
+        cap=st.one_of(st.none(), st.floats(0.0, 180.0), any_float),
+        count=st.integers(-1, 30),
+    )
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # table1 SDs of one trial are NaN
+    def test_exit_code_is_never_internal(self, command, layout, model, weights, cap, count):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            layout_path, model_path = tmp / "layout.json", tmp / "model.csv"
+            layout_path.write_text(layout, encoding="utf-8")
+            if model not in (None, "missing"):
+                model_path.write_text(model, encoding="utf-8")
+            model_args = [] if model is None else [f"--model={model_path}"]
+            scoring_args = [f"--weights={weights}"]
+            if cap is not None:
+                scoring_args.append(f"--max-displacement={cap!r}")
+            out = f"--out={tmp / 'out'}"
+            argv = {
+                "solve": ["solve", f"--layout={layout_path}", *model_args, *scoring_args, out],
+                "eval": ["eval", f"--layout={layout_path}", *model_args, *scoring_args,
+                         f"--trials={count * 10}", out],
+                "inspect-model": ["inspect-model", f"--model={model_path}"],
+                "table1": ["table1", *model_args, f"--trials-per-bin={count}", out],
+            }[command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()

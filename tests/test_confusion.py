@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 import cueplace as cp
 from cueplace.confusion import LOCALIZATION_ERROR_TARGETS, ModelFormatError, _wrapped_normal_bin_mass
+from tests.oracles import gather_sample_rows, trial_counts
 
 
 def small_model(rows, bin_size=120):
@@ -48,6 +49,46 @@ class TestValidate:
         with pytest.raises(ModelFormatError) as exc:
             small_model(rows).validate()
         assert exc.value.row == 2
+
+
+class TestConstructorInvariants:
+    @pytest.mark.parametrize("cell", [-0.2, 1.25, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_entries(self, cell):
+        rows = np.full((3, 3), 1.0 / 3.0)
+        rows[1, 2] = cell
+        with pytest.raises(ModelFormatError):
+            cp.ConfusionModel(120, rows)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4), (3,), (3, 3, 1)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ModelFormatError):
+            cp.ConfusionModel(120, np.full(shape, 1.0 / 3.0))
+
+    def test_negative_row_never_reaches_sampler(self):
+        # With -0.2 the row CDF is not monotone, and the binary search would
+        # draw bin 2 for u=0.45 where counting CDF entries <= u gives bin 1.
+        rows = np.array([[0.6, -0.2, 0.6], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert gather_sample_rows(rows, np.array([0]), np.array([0.45]))[0] == 1
+        with pytest.raises(ModelFormatError) as exc:
+            cp.ConfusionModel(120, rows)
+        assert (exc.value.row, exc.value.column) == (0, 1)
+
+    def test_keeps_a_read_only_float_copy(self):
+        rows = np.eye(3)
+        model = cp.ConfusionModel(120, rows)
+        rows[0, 0] = 0.5  # the caller's array stays theirs to change
+        assert model.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            model.matrix[0, 0] = 0.5
+        assert cp.ConfusionModel(120, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).matrix.dtype == float
+
+    def test_load_model_names_file_and_cell(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("bin_size_deg,120\n1,0,0\n0.5,0.75,-0.25\n0,0,1\n")
+        with pytest.raises(ModelFormatError) as exc:
+            cp.load_model(path)
+        assert str(exc.value).startswith(f"{path}: probability out of [0, 1]")
+        assert (exc.value.row, exc.value.column) == (1, 2)
 
 
 class TestWrappedNormalMass:
@@ -224,6 +265,40 @@ class TestModelFromTrials:
             ]
         )
         np.testing.assert_array_equal(m.matrix, expected)
+
+    @pytest.mark.parametrize("bin_size", [12, 24, 36, 120])
+    def test_dumped_trials_match_per_row_counts(self, tmp_path, calibrated_model, bin_size):
+        path = tmp_path / "trials.csv"
+        cp.dump_trials(calibrated_model, path, trials_per_bin=60, seed=3)
+        counts = trial_counts(path, bin_size)
+        expected = counts / counts.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(cp.model_from_trials(path, bin_size).matrix, expected)
+
+    @given(
+        trials=st.lists(
+            st.tuples(*[st.floats(-1e4, 1e4) | st.sampled_from([-1e-300, 360.0, -360.0])] * 2),
+            max_size=40,
+        ),
+        bin_size=st.sampled_from([45, 90, 120]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_azimuths_match_per_row_counts(self, tmp_path_factory, trials, bin_size):
+        # one trial per true bin, so every row has a count
+        covering = [(float(c), float(c)) for c in cp.bin_centers(bin_size)]
+        path = tmp_path_factory.mktemp("trials") / "trials.csv"
+        lines = [f"{t!r},{p!r}" for t, p in covering + trials]
+        path.write_text("true_azimuth_deg,predicted_azimuth_deg\n" + "\n".join(lines) + "\n\n")
+        counts = trial_counts(path, bin_size)
+        expected = counts / counts.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(cp.model_from_trials(path, bin_size).matrix, expected)
+
+    @pytest.mark.parametrize("row", ["nan,45", "45,inf"])
+    def test_non_finite_trial_is_located(self, tmp_path, row):
+        path = tmp_path / "trials.csv"
+        path.write_text(f"true_azimuth_deg,predicted_azimuth_deg\n45,45\n{row}\n")
+        with pytest.raises(ModelFormatError) as exc:
+            cp.model_from_trials(path, bin_size_deg=90)
+        assert exc.value.row == 1
 
     def test_missing_bin_is_error(self, tmp_path):
         path = tmp_path / "trials.csv"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cueplace as cp
 from cueplace.placement import InfeasibleLayoutError
 from tests.conftest import random_scores
+from tests.oracles import brute_force_solve
 
 
 def scores_from(values, azimuths, bin_size):
@@ -36,7 +37,7 @@ class TestHandInstances:
     def test_single_element_identity(self, identity):
         lay = cp.Layout((cp.Element("a", 90.0),))  # bin 7
         scores = cp.build_score_matrix(identity, lay, cp.Weights(blur=1.0, cone=0.0))
-        for solver in (cp.solve, cp.brute_force_solve):
+        for solver in (cp.solve, brute_force_solve):
             sol = solver(scores)
             assert sol.assignments[0].sound_bin == 7
             assert sol.objective == 1.0
@@ -44,14 +45,14 @@ class TestHandInstances:
 
     def test_two_elements_three_bins(self):
         scores = scores_from([[5.0, 1.0, 0.0], [0.0, 2.0, 4.0]], (60.0, 180.0), 120)
-        for solver in (cp.solve, cp.brute_force_solve):
+        for solver in (cp.solve, brute_force_solve):
             sol = solver(scores)
             assert sol.objective == 9.0
             assert [a.sound_bin for a in sol.assignments] == [0, 2]
 
     def test_tie_break_lowest_cut_then_lex_smallest(self):
         scores = scores_from(np.ones((2, 3)), (60.0, 180.0), 120)
-        for solver in (cp.solve, cp.brute_force_solve):
+        for solver in (cp.solve, brute_force_solve):
             sol = solver(scores)
             assert sol.objective == 2.0
             assert sol.cut_rotation == 0
@@ -61,7 +62,7 @@ class TestHandInstances:
         # each element's favorite bin would cross; only rotations are feasible
         values = [[10.0, 0.0, 0.0], [0.0, 0.0, 10.0], [0.0, 10.0, 0.0]]
         scores = scores_from(values, (60.0, 180.0, 300.0), 120)
-        for solver in (cp.solve, cp.brute_force_solve):
+        for solver in (cp.solve, brute_force_solve):
             sol = solver(scores)
             assert sol.objective == 10.0  # not the crossing 30.0
             assert [a.sound_bin for a in sol.assignments] == [0, 1, 2]
@@ -81,7 +82,7 @@ class TestAgainstBruteForce:
             n = int(rng.integers(1, 5))
             scores = random_scores(rng, n, identity)
             dp = cp.solve(scores)
-            bf = cp.brute_force_solve(scores)
+            bf = brute_force_solve(scores)
             assert dp.objective == bf.objective
             assert [a.sound_bin for a in dp.assignments] == [a.sound_bin for a in bf.assignments]
             assert dp.cut_rotation == bf.cut_rotation
@@ -92,7 +93,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(seed)
         scores = random_scores(rng, n, cp.identity_model(12), quantize=0.05 if seed % 2 else None)
         dp = cp.solve(scores)
-        bf = cp.brute_force_solve(scores)
+        bf = brute_force_solve(scores)
         assert dp.objective == bf.objective
         assert [a.sound_bin for a in dp.assignments] == [a.sound_bin for a in bf.assignments]
         assert dp.cut_rotation == bf.cut_rotation
@@ -100,7 +101,7 @@ class TestAgainstBruteForce:
     def test_guard_rejects_large_instances(self, identity):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            cp.brute_force_solve(random_scores(rng, 6, identity))
+            brute_force_solve(random_scores(rng, 6, identity))
 
 
 class TestSolveProperties:
@@ -157,7 +158,7 @@ class TestDisplacementLimit:
         for _ in range(10):
             scores = random_scores(rng, 3, identity)
             dp = cp.solve(scores, max_displacement_deg=40.0)
-            bf = cp.brute_force_solve(scores, max_displacement_deg=40.0)
+            bf = brute_force_solve(scores, max_displacement_deg=40.0)
             assert dp.objective == bf.objective
             assert [a.sound_bin for a in dp.assignments] == [a.sound_bin for a in bf.assignments]
 
@@ -169,13 +170,13 @@ class TestDisplacementLimit:
         with pytest.raises(InfeasibleLayoutError):
             cp.solve(scores, max_displacement_deg=1.0)
         with pytest.raises(InfeasibleLayoutError):
-            cp.brute_force_solve(scores, max_displacement_deg=1.0)
+            brute_force_solve(scores, max_displacement_deg=1.0)
 
 
     @pytest.mark.parametrize("cap", [float("nan"), -5.0])
     def test_rejects_nan_and_negative_cap_as_bad_input(self, identity, side_by_side, cap):
         scores = cp.build_score_matrix(identity, side_by_side)
-        for solver in (cp.solve, cp.brute_force_solve):
+        for solver in (cp.solve, brute_force_solve):
             with pytest.raises(ValueError) as exc:
                 solver(scores, max_displacement_deg=cap)
             assert not isinstance(exc.value, InfeasibleLayoutError)
@@ -203,7 +204,7 @@ class TestInfeasible:
         with pytest.raises(InfeasibleLayoutError):
             cp.solve(scores)
         with pytest.raises(InfeasibleLayoutError):
-            cp.brute_force_solve(scores)
+            brute_force_solve(scores)
 
 
 class TestColocated:
@@ -238,5 +239,4 @@ class TestSolutionMetadata:
         sol = cp.solve(scores)
         assert sol.solver == "dp_exact"
         assert 0 <= sol.cut_rotation < 30
-        assert sol.solve_time_s >= 0.0
         assert set(sol.bins_by_element()) == {"a", "b"}

@@ -276,7 +276,6 @@ class TestSanityFloor:
                 per_element_score=(0.0,) * n,
                 solver="random",
                 cut_rotation=cut,
-                solve_time_s=0.0,
             )
             rand_acc.append(expected_accuracy(rand_sol, layout, calibrated_model))
         assert np.mean(opt_acc) >= np.mean(rand_acc)
