@@ -7,15 +7,16 @@ file), table1 (simulated per-region localization-error statistics).
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible instance, 4 internal
 error. Diagnostics go to stderr as single `error: <kind>: <message>` lines.
-Emitted JSON is byte-stable for identical inputs: keys are sorted and
-nothing time- or environment-dependent is written (solve timing goes to
-stderr instead).
+Emitted JSON is strict (no NaN or Infinity tokens) and byte-stable for
+identical inputs: keys are sorted and nothing time- or environment-dependent
+is written (solve timing goes to stderr instead).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,7 +45,7 @@ EXIT_INTERNAL = 4
 
 
 def _emit_json(obj, out: str) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -96,10 +97,12 @@ def _cmd_solve(args) -> int:
     layout, model = _load_inputs(args)
     weights = _parse_weights(args.weights)
     scores = build_score_matrix(model, layout, weights, args.cone_rule)
+    # An infinite cap is no cap, and JSON has no infinity: write it as null.
+    cap = None if args.max_displacement == math.inf else args.max_displacement
     t0 = time.perf_counter()
-    solution = solve(scores, max_displacement_deg=args.max_displacement)
+    solution = solve(scores, max_displacement_deg=cap)
     solve_ms = (time.perf_counter() - t0) * 1e3
-    _emit_json(_solution_dict(solution, scores, args.max_displacement), args.out)
+    _emit_json(_solution_dict(solution, scores, cap), args.out)
     print(f"solved n={len(layout)} in {solve_ms:.2f} ms", file=sys.stderr)
     return EXIT_OK
 
@@ -128,7 +131,13 @@ def _cmd_eval(args) -> int:
                 "mean_circular_error_deg": r.mean_circular_error_deg,
                 "mean_adjusted_error_deg": r.mean_adjusted_error_deg,
                 "mean_cone_effect_deg": r.mean_cone_effect_deg,
-                "per_element_accuracy": dict(zip(layout.ids, r.per_element_accuracy)),
+                # null for an element that drew no trial
+                "per_element_accuracy": {
+                    i: acc if trials else None
+                    for i, acc, trials in zip(
+                        layout.ids, r.per_element_accuracy, r.per_element_trials
+                    )
+                },
             }
             for name, r in reports.items()
         },

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
 from .angles import bin_center, bin_centers, bin_count_for, bin_of, mirror_front_back, normalize
 
@@ -294,6 +293,9 @@ def model_from_trials(path: str | Path, bin_size_deg: int = 12) -> ConfusionMode
 
 def _wrapped_normal_bin_mass(mean_deg: float, sd_deg: float, edges: np.ndarray) -> np.ndarray:
     """Probability mass of a wrapped normal in each [edges[k], edges[k+1]) bin."""
+
+    # Imported here: scipy.special dominates start-up, and only synthesis needs it.
+    from scipy.special import ndtr
 
     wraps = int(np.ceil(6.0 * sd_deg / 360.0)) + 1
     ks = np.arange(-wraps, wraps + 1)

@@ -132,14 +132,17 @@ def layout_from_dict(d: dict) -> Layout:
     elements = []
     for i, item in enumerate(raw):
         try:
-            elements.append(
-                Element(
-                    id=str(item["id"]),
-                    visual_azimuth_deg=float(item["azimuth_deg"]),
-                    elevation_deg=float(item.get("elevation_deg", 0.0)),
-                    label=item.get("label"),
-                )
+            element = Element(
+                id=str(item["id"]),
+                visual_azimuth_deg=float(item["azimuth_deg"]),
+                elevation_deg=float(item.get("elevation_deg", 0.0)),
+                label=item.get("label"),
             )
+            if not math.isfinite(element.elevation_deg):
+                raise ValueError(
+                    f"elevation_deg of {element.id!r} must be finite, got {element.elevation_deg!r}"
+                )
+            elements.append(element)
         except (KeyError, TypeError, ValueError) as e:
             raise LayoutError(f"element {i}: {e}") from None
     return Layout(tuple(elements))

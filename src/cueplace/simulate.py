@@ -18,7 +18,13 @@ from typing import Mapping
 import numpy as np
 
 from .angles import angular_distance, bin_centers, mirror_front_back
-from .confusion import DEFAULT_REGION_BOUNDS, ConfusionModel, region_of, sample_bins
+from .confusion import (
+    DEFAULT_REGION_BOUNDS,
+    ConfusionModel,
+    ModelFormatError,
+    region_of,
+    sample_bins,
+)
 from .layout import Layout
 from .placement import PlacementSolution
 
@@ -162,6 +168,8 @@ def _errors_by_bin(target_az: np.ndarray, bin_size_deg: int) -> tuple[np.ndarray
 
 
 def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
+    if trials_per_bin < 1:
+        raise ValueError(f"trials_per_bin must be >= 1, got {trials_per_bin}")
     n = model.bin_count
     true_bins = np.repeat(np.arange(n), trials_per_bin)
     rng = np.random.default_rng(seed)
@@ -174,7 +182,15 @@ def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
 
 
 def _regions_by_bin(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
-    return np.array([region_of(c, bounds) for c in bin_centers(bin_size_deg)])
+    """Region of each bin center. Every region must hold one, or it has no statistics."""
+
+    regions = np.array([region_of(c, bounds) for c in bin_centers(bin_size_deg)])
+    for name in bounds:
+        if not np.any(regions == name):
+            raise ModelFormatError(
+                f"no bin center of a {bin_size_deg}-degree model lies in region {name!r}"
+            )
+    return regions
 
 
 def table1_statistics(
@@ -189,14 +205,20 @@ def table1_statistics(
     center and the percept is the sampled bin's center. Circular error is
     the angular distance to the true azimuth, adjusted error additionally
     allows the front-back mirror of the percept, cone effect is their
-    per-trial difference.
+    per-trial difference. Every region needs a bin center and, for its SDs,
+    at least 2 trials.
     """
 
-    if trials_per_bin < 1:
-        raise ValueError(f"trials_per_bin must be >= 1, got {trials_per_bin}")
     bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
     true_bins, _, circular, adjusted = _error_samples(model, trials_per_bin, seed)
-    regions = _regions_by_bin(model.bin_size_deg, bounds)[true_bins]
+    by_bin = _regions_by_bin(model.bin_size_deg, bounds)
+    for name in bounds:
+        if trials_per_bin * np.count_nonzero(by_bin == name) < 2:
+            raise ValueError(
+                f"region {name!r} holds one bin, so {trials_per_bin} trial per bin leaves "
+                "its SDs undefined; trials_per_bin must be >= 2"
+            )
+    regions = by_bin[true_bins]
     cone = circular - adjusted
 
     out: dict[str, LocalizationStats] = {}
@@ -222,6 +244,7 @@ def expected_localization_errors(
 
     Bins weigh equally within a region, matching the per-bin trial budget of
     the simulated version. Used to calibrate synthetic model parameters.
+    Every region needs a bin center.
     """
 
     bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
@@ -244,8 +267,8 @@ def dump_trials(
 ) -> int:
     """Write raw simulated trials as `true_azimuth_deg,predicted_azimuth_deg` CSV.
 
-    Returns the number of trials written. `model_from_trials` on the output
-    reconstructs an estimate of the model.
+    Returns the number of trials written, at least one per bin.
+    `model_from_trials` on the output reconstructs an estimate of the model.
     """
 
     true_bins, perceived, _, _ = _error_samples(model, trials_per_bin, seed)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cueplace as cp
-from cueplace.cli import main
+from cueplace.cli import _emit_json, main
 
 LAYOUT = {
     "elements": [
@@ -100,6 +103,23 @@ class TestSolve:
         assert err.startswith("error: input:")
         assert "max_displacement_deg" in err
 
+    def test_infinite_cap_is_no_cap(self, files):
+        tmp, layout, model = files
+        capped, free = tmp / "capped.json", tmp / "free.json"
+        args = ["solve", "--layout", layout, "--model", model]
+        assert main(args + ["--max-displacement", "inf", "--out", str(capped)]) == 0
+        assert main(args + ["--out", str(free)]) == 0
+        assert capped.read_bytes() == free.read_bytes()
+        assert json.loads(capped.read_text())["max_displacement_deg"] is None
+
+    def test_non_finite_elevation_is_input_error(self, tmp_path, capsys):
+        layout = tmp_path / "layout.json"
+        layout.write_text('{"elements": [{"id": "a", "azimuth_deg": 10, "elevation_deg": NaN}]}')
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--layout", str(layout), "--out", str(out)]) == 2
+        assert "element 0: elevation_deg of 'a' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_layout_is_input_error(self, tmp_path, capsys):
         assert main(["solve", "--layout", str(tmp_path / "none.json")]) == 2
         assert capsys.readouterr().err.startswith("error: input:")
@@ -145,6 +165,17 @@ class TestEval:
         assert report["strategies"]["colocated"]["accuracy"] == 1.0
         assert report["strategies"]["optimized"]["accuracy"] == 1.0
         assert report["optimized_minus_colocated"]["accuracy_gap"] == 0.0
+
+    def test_element_without_trials_is_null(self, files):
+        tmp, layout, model = files
+        out = tmp / "eval.json"
+        assert main(["eval", "--layout", layout, "--model", model, "--trials", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        for strategy in report["strategies"].values():
+            per_element = strategy["per_element_accuracy"]
+            assert sorted(per_element) == ["a", "b"]
+            assert sum(v is None for v in per_element.values()) == 1
+            assert all(v in (0.0, 1.0) for v in per_element.values() if v is not None)
 
     def test_zero_trials_is_input_error(self, files):
         _, layout, model = files
@@ -210,6 +241,37 @@ class TestModelCommands:
         rebuilt = cp.model_from_trials(trials_path)
         assert rebuilt.bin_count == 30
 
+    def test_synth_trials_csv_rejects_empty_budget(self, tmp_path, capsys):
+        trials_path = tmp_path / "t.csv"
+        code = main(
+            ["synth-model", "--out", str(tmp_path / "m.csv"), "--trials-csv", str(trials_path),
+             "--trials-per-bin", "0"]
+        )
+        assert code == 2
+        assert "trials_per_bin must be >= 1" in capsys.readouterr().err
+        assert not trials_path.exists()
+
+    @pytest.mark.parametrize("command", [["table1", "--trials-per-bin", "5"], ["inspect-model"]])
+    def test_region_without_bin_center_is_input_error(self, tmp_path, capsys, command):
+        model_path = tmp_path / "model.csv"
+        cp.save_model(cp.identity_model(120), model_path)
+        assert main([*command, "--model", str(model_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: input: no bin center of a 120-degree model lies in region 'front'\n"
+        )
+
+    def test_table1_one_bin_region_needs_two_trials(self, tmp_path, capsys):
+        model_path, out = tmp_path / "model.csv", tmp_path / "t1.json"
+        cp.save_model(cp.identity_model(60), model_path)
+        args = ["table1", "--model", str(model_path), "--out", str(out)]
+        assert main(args + ["--trials-per-bin", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "region 'right'" in err and "trials_per_bin must be >= 2" in err
+        assert not out.exists()
+        assert main(args + ["--trials-per-bin", "2"]) == 0
+        stats = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert stats["regions"]["right"]["trials"] == 2
+
     def test_inspect_human_readable(self, tmp_path, capsys):
         model_path = tmp_path / "model.csv"
         main(["synth-model", "--out", str(model_path)])
@@ -224,6 +286,60 @@ class TestModelCommands:
         stats = json.loads(out.read_text())
         assert set(stats["regions"]) == {"front", "right", "back", "left", "all"}
         assert stats["regions"]["all"]["trials"] == 1500
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_emit_json_refuses_non_finite(tmp_path):
+    out = tmp_path / "out.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _emit_json({"x": value}, str(out))
+        assert not out.exists()
+
+
+COLD_START = """
+import json, sys
+from cueplace.cli import main
+
+tmp, layout, model = sys.argv[1:]
+loaded = {"import": "scipy" in sys.modules}
+for argv in (
+    ["solve", "--layout", layout, "--model", model, "--out", f"{tmp}/sol.json"],
+    ["eval", "--layout", layout, "--model", model, "--trials", "200", "--out", f"{tmp}/eval.json"],
+    ["inspect-model", "--model", model, "--json"],
+    ["table1", "--model", model, "--trials-per-bin", "5", "--out", f"{tmp}/t1.json"],
+    ["synth-model", "--out", f"{tmp}/synth.csv"],
+):
+    code = main(argv)
+    loaded[argv[0]] = [code, "scipy" in sys.modules]
+with open(f"{tmp}/loaded.json", "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+def test_scipy_loads_only_to_synthesize(files, calibrated_model):
+    # a fresh interpreter: this test process has imported SciPy already
+    tmp, layout, model = files
+    src = str(Path(cp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp), layout, model],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    assert json.loads((tmp / "loaded.json").read_text()) == {
+        "import": False,
+        "solve": [0, False],
+        "eval": [0, False],
+        "inspect-model": [0, False],
+        "table1": [0, False],
+        "synth-model": [0, True],
+    }
+    expected = tmp / "expected.csv"
+    cp.save_model(calibrated_model, expected)
+    assert (tmp / "synth.csv").read_bytes() == expected.read_bytes()
 
 
 class TestParser:
@@ -250,7 +366,7 @@ any_float = st.floats(allow_nan=True, allow_infinity=True)
 
 @st.composite
 def layout_texts(draw):
-    """Layout JSON: mostly well-formed, with odd azimuths, repeated ids or bad JSON."""
+    """Layout JSON: mostly well-formed, with odd azimuths or elevations, repeated ids or bad JSON."""
 
     if draw(st.integers(0, 5)) == 0:
         return draw(
@@ -263,6 +379,8 @@ def layout_texts(draw):
     if draw(st.integers(0, 5)) == 0:
         ids[-1] = ids[0]
     elements = [{"id": i, "azimuth_deg": a} for i, a in zip(ids, azimuths)]
+    if draw(st.integers(0, 5)) == 0:
+        elements[-1]["elevation_deg"] = draw(any_float)
     return json.dumps({"elements": elements})
 
 
@@ -270,7 +388,7 @@ def layout_texts(draw):
 def model_texts(draw):
     """Model CSV text: a valid matrix, or one with a bad cell, shape or header."""
 
-    size = draw(st.sampled_from([30, 45, 60]))  # bin centres cover every region
+    size = draw(st.sampled_from([30, 45, 60, 90, 120]))
     n = 360 // size
     matrix = np.eye(n) if draw(st.booleans()) else np.full((n, n), 1.0 / n)
     kind = draw(st.sampled_from(["valid", "valid", "cell", "shape", "text"]))
@@ -298,7 +416,8 @@ weight_texts = st.one_of(
 
 
 class TestFuzz:
-    """Any layout, model file, weights or cap ends in exit 0, 2 or 3, never 4."""
+    """Any layout, model file, weights or cap ends in exit 0, 2 or 3, never 4,
+    and every JSON written on exit 0 is strict (no NaN or Infinity)."""
 
     @given(
         command=st.sampled_from(["solve", "eval", "inspect-model", "table1"]),
@@ -307,10 +426,10 @@ class TestFuzz:
         weights=weight_texts,
         cap=st.one_of(st.none(), st.floats(0.0, 180.0), any_float),
         count=st.integers(-1, 30),
+        as_json=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # table1 SDs of one trial are NaN
-    def test_exit_code_is_never_internal(self, command, layout, model, weights, cap, count):
+    def test_exit_code_is_never_internal(self, command, layout, model, weights, cap, count, as_json):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             layout_path, model_path = tmp / "layout.json", tmp / "model.csv"
@@ -326,10 +445,13 @@ class TestFuzz:
                 "solve": ["solve", f"--layout={layout_path}", *model_args, *scoring_args, out],
                 "eval": ["eval", f"--layout={layout_path}", *model_args, *scoring_args,
                          f"--trials={count * 10}", out],
-                "inspect-model": ["inspect-model", f"--model={model_path}"],
+                "inspect-model": ["inspect-model", f"--model={model_path}"] + ["--json"] * as_json,
                 "table1": ["table1", *model_args, f"--trials-per-bin={count}", out],
             }[command]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            stdout, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
                 code = main(argv)
-        assert code in (0, 2, 3), err.getvalue()
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 0 and (command != "inspect-model" or as_json):
+                text = stdout.getvalue() if command == "inspect-model" else (tmp / "out").read_text()
+                json.loads(text, parse_constant=_reject_constant)

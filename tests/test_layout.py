@@ -133,3 +133,13 @@ class TestJson:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             cp.load_layout(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("elevation", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_elevation_is_located(self, tmp_path, elevation):
+        path = tmp_path / "layout.json"
+        path.write_text(
+            '{"elements": [{"id": "a", "azimuth_deg": 10},'
+            f' {{"id": "b", "azimuth_deg": 90, "elevation_deg": {elevation}}}]}}'
+        )
+        with pytest.raises(LayoutError, match=r"element 1: elevation_deg of 'b' must be finite"):
+            cp.load_layout(path)

@@ -182,6 +182,11 @@ class TestExpectedErrors:
             assert expected[region]["circular"] == pytest.approx(target["circular"], rel=0.01)
             assert expected[region]["adjusted"] == pytest.approx(target["adjusted"], rel=0.01)
 
+    @pytest.mark.parametrize("bin_size", [90, 120])
+    def test_rejects_region_without_bin_center(self, bin_size):
+        with pytest.raises(cp.ModelFormatError, match="lies in region 'front'"):
+            cp.expected_localization_errors(cp.identity_model(bin_size))
+
 
 class TestTable1Statistics:
     def test_region_trial_counts(self, calibrated_model):
@@ -219,6 +224,20 @@ class TestTable1Statistics:
         with pytest.raises(ValueError):
             cp.table1_statistics(identity, trials_per_bin=0)
 
+    @pytest.mark.parametrize("bin_size", [90, 120])
+    def test_rejects_region_without_bin_center(self, bin_size):
+        with pytest.raises(cp.ModelFormatError, match="lies in region 'front'"):
+            cp.table1_statistics(cp.identity_model(bin_size), trials_per_bin=5)
+
+    def test_one_bin_region_needs_two_trials_per_bin(self):
+        # 60-degree bins: 'right' and 'left' each hold one bin center
+        model = cp.identity_model(60)
+        with pytest.raises(ValueError, match=r"region 'right'.*trials_per_bin must be >= 2"):
+            cp.table1_statistics(model, trials_per_bin=1)
+        stats = cp.table1_statistics(model, trials_per_bin=2)
+        assert stats["right"].trials == stats["left"].trials == 2
+        assert all(math.isfinite(v) for s in stats.values() for v in vars(s).values())
+
     @given(
         bin_size=st.sampled_from([3, 12, 30]),
         trials_per_bin=st.integers(2, 40),
@@ -238,6 +257,13 @@ class TestDumpTrials:
         assert written == 30000
         rebuilt = cp.model_from_trials(path)
         assert np.abs(rebuilt.matrix - calibrated_model.matrix).max() < 0.05
+
+    @pytest.mark.parametrize("trials_per_bin", [0, -1])
+    def test_rejects_empty_budget(self, tmp_path, identity, trials_per_bin):
+        path = tmp_path / "trials.csv"
+        with pytest.raises(ValueError, match="trials_per_bin must be >= 1"):
+            cp.dump_trials(identity, path, trials_per_bin=trials_per_bin)
+        assert not path.exists()
 
     def test_header(self, tmp_path, identity):
         path = tmp_path / "trials.csv"
