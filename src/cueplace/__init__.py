@@ -48,6 +48,7 @@ from .simulate import (
     SimulationReport,
     decision_by_bin,
     dump_trials,
+    expected_accuracy,
     expected_localization_errors,
     run_simulation,
     table1_statistics,
@@ -95,6 +96,7 @@ __all__ = [
     "colocated_solution",
     "decision_by_bin",
     "run_simulation",
+    "expected_accuracy",
     "SimulationReport",
     "LocalizationStats",
     "table1_statistics",

@@ -164,10 +164,11 @@ def _cmd_synth_model(args) -> int:
     else:
         params = calibrated_params(bin_size_deg=args.bin_size)
     model = synthesize_model(params)
-    save_model(model, args.out)
+    # trials first: a rejected trial budget must leave no model file behind
     if args.trials_csv:
         n = dump_trials(model, args.trials_csv, trials_per_bin=args.trials_per_bin, seed=args.seed)
         print(f"wrote {n} trials to {args.trials_csv}", file=sys.stderr)
+    save_model(model, args.out)
     print(f"wrote {model.bin_count}x{model.bin_count} model to {args.out}", file=sys.stderr)
     return EXIT_OK
 

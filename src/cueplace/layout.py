@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,8 @@ class Layout:
     """
 
     elements: tuple[Element, ...]
+    _azimuths: np.ndarray = field(init=False, repr=False)
+    _order: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.elements) < 1:
@@ -48,7 +50,12 @@ class Layout:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise LayoutError(f"duplicate element id {dup!r}")
-        object.__setattr__(self, "elements", tuple(_deconflict(self.elements)))
+        elements = _deconflict(self.elements)
+        azimuths = np.array([e.visual_azimuth_deg for e in elements])
+        azimuths.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_azimuths", azimuths)
+        object.__setattr__(self, "_order", tuple(np.argsort(azimuths, kind="stable").tolist()))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -59,7 +66,9 @@ class Layout:
 
     @property
     def visual_azimuths(self) -> np.ndarray:
-        return np.array([e.visual_azimuth_deg for e in self.elements])
+        """Visual azimuths in element order, as a read-only array."""
+
+        return self._azimuths
 
     def index_of(self, element_id: str) -> int:
         for i, e in enumerate(self.elements):
@@ -70,32 +79,36 @@ class Layout:
     def circular_order(self) -> list[int]:
         """Element indices sorted by ascending visual azimuth from 0 degrees."""
 
-        return sorted(range(len(self.elements)), key=lambda i: self.elements[i].visual_azimuth_deg)
+        return list(self._order)
 
 
-def _deconflict(elements) -> list[Element]:
-    az = [normalize(e.visual_azimuth_deg) for e in elements]
+def _deconflict(elements) -> tuple[Element, ...]:
+    raw = np.array([e.visual_azimuth_deg for e in elements], dtype=float)
+    finite = np.isfinite(raw)
+    if not finite.all():
+        e = elements[int(np.argmin(finite))]
+        raise LayoutError(f"azimuth_deg of {e.id!r} must be finite, got {e.visual_azimuth_deg!r}")
+    az = normalize(raw).tolist()
     ids = [e.id for e in elements]
     # Elements sharing an angle form a cluster that is spread apart. A spread
     # can land on another element's angle; the clusters involved then merge
     # and spread again. Each merge removes a cluster, so this terminates, at
     # worst with one cluster whose members all sit a step apart.
     cluster_of = list(range(len(az)))
-    while True:
-        pos = _spread(az, ids, cluster_of)
+    pos = az
+    while len(set(pos)) < len(pos):
         at: dict[float, list[int]] = {}
         for i, p in enumerate(pos):
             at.setdefault(p, []).append(i)
-        collisions = [idxs for idxs in at.values() if len(idxs) > 1]
-        if not collisions:
-            break
-        for idxs in collisions:
-            merged = {cluster_of[i] for i in idxs}
-            target = min(merged)
-            cluster_of = [target if c in merged else c for c in cluster_of]
-    return [
+        for idxs in at.values():
+            if len(idxs) > 1:
+                merged = {cluster_of[i] for i in idxs}
+                target = min(merged)
+                cluster_of = [target if c in merged else c for c in cluster_of]
+        pos = _spread(az, ids, cluster_of)
+    return tuple(
         Element(e.id, p, float(e.elevation_deg), e.label) for e, p in zip(elements, pos)
-    ]
+    )
 
 
 def _spread(az: list[float], ids: list[str], cluster_of: list[int]) -> list[float]:
@@ -138,10 +151,12 @@ def layout_from_dict(d: dict) -> Layout:
                 elevation_deg=float(item.get("elevation_deg", 0.0)),
                 label=item.get("label"),
             )
-            if not math.isfinite(element.elevation_deg):
-                raise ValueError(
-                    f"elevation_deg of {element.id!r} must be finite, got {element.elevation_deg!r}"
-                )
+            for name, value in (
+                ("azimuth_deg", element.visual_azimuth_deg),
+                ("elevation_deg", element.elevation_deg),
+            ):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} of {element.id!r} must be finite, got {value!r}")
             elements.append(element)
         except (KeyError, TypeError, ValueError) as e:
             raise LayoutError(f"element {i}: {e}") from None

@@ -4,7 +4,9 @@ pairwise-distinct bins and preserved circular ordering.
 Feasible assignments are exactly those that become strictly increasing in
 bin index after cutting the bin circle at some rotation, with elements read
 in ascending visual-azimuth order. `solve` therefore runs an exact dynamic
-program over all bin_count cut rotations at once.
+program over all bin_count cut rotations at once. Under a cut, element j of
+n can only sit at one of W = bin_count - n + 1 rotated positions, so each
+cut costs O(n * W) and the table is bin_count x W.
 
 Internally scores are quantized onto a relative 2**-40 integer grid so path
 sums compare in exact arithmetic; float addition is not associative, and
@@ -31,10 +33,15 @@ from .scoring import ScoreMatrix
 # 2**40 of the largest |score| is far below any meaningful score difference.
 QUANT_BITS = 40
 # Marks forbidden (element, bin) cells. A path through one masked cell stays
-# below INFEASIBLE_THRESHOLD even after adding every feasible score, and
-# summing masked cells along a whole path cannot overflow int64.
-MASKED = -(1 << 55)
-INFEASIBLE_THRESHOLD = -(1 << 54)
+# below INFEASIBLE_THRESHOLD even after adding every feasible score, and with
+# n <= bin_count <= 360 a path of masked cells sums to more than -2**62, so
+# int64 cannot overflow.
+MASKED = -(1 << 53)
+INFEASIBLE_THRESHOLD = -(1 << 52)
+# Bits of a lex-min key that hold the tie-break: 511 - original bin, which
+# fits since bin_count <= 360 < 2**9.
+TIE_BITS = 9
+TIE_MASK = (1 << TIE_BITS) - 1
 
 
 class InfeasibleLayoutError(ValueError):
@@ -110,29 +117,29 @@ def _raise_infeasible() -> None:
 def _finish(
     scores: ScoreMatrix,
     order: list[int],
-    bins_in_order: np.ndarray,
+    bins_in_order: np.ndarray | list[int],
     solver: str,
     cut: int,
     warning: str | None = None,
 ) -> PlacementSolution:
     layout = scores.layout
-    bin_by_element = {order[j]: int(bins_in_order[j]) for j in range(len(order))}
-    assignments = []
-    per_score = []
-    for i, element in enumerate(layout.elements):
-        b = bin_by_element[i]
-        assignments.append(
-            Assignment(
-                id=element.id,
-                sound_bin=b,
-                sound_azimuth_deg=bin_center(b, scores.model.bin_size_deg),
-                visual_azimuth_deg=element.visual_azimuth_deg,
-                elevation_deg=element.elevation_deg,
-            )
+    n = len(order)
+    bins = np.empty(n, dtype=int)
+    bins[order] = bins_in_order
+    centers = bin_center(bins, scores.model.bin_size_deg).tolist()
+    per_score = scores.values[np.arange(n), bins].astype(float).tolist()
+    assignments = tuple(
+        Assignment(
+            id=e.id,
+            sound_bin=b,
+            sound_azimuth_deg=c,
+            visual_azimuth_deg=e.visual_azimuth_deg,
+            elevation_deg=e.elevation_deg,
         )
-        per_score.append(float(scores.values[i, b]))
+        for e, b, c in zip(layout.elements, bins.tolist(), centers)
+    )
     return PlacementSolution(
-        assignments=tuple(assignments),
+        assignments=assignments,
         objective=math.fsum(per_score),
         per_element_score=tuple(per_score),
         solver=solver,
@@ -144,61 +151,66 @@ def _finish(
 def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> PlacementSolution:
     """Exact maximum-score order-preserving assignment.
 
-    Dynamic program over (element, bin) per cut rotation, O(n * bin_count)
-    each; the best cut wins. `max_displacement_deg`, when given, forbids
-    moving a sound farther than that from its element's visual azimuth.
+    Dynamic program over (element, rotated position) per cut rotation,
+    O(n * W) each with W = bin_count - n + 1; the best cut wins.
+    `max_displacement_deg`, when given, forbids moving a sound farther than
+    that from its element's visual azimuth.
     """
 
     _check_instance(scores)
     order, q = _ordered_quantized(scores, max_displacement_deg)
     n, bins = q.shape
+    width = bins - n + 1
 
-    # q[i, orig_by_cut][r, p]: score of element i at rotated position p under
-    # cut r, gathered one element at a time to keep memory at O(bins**2)
+    # f[r, k]: best path value with element j at rotated position j + k under
+    # cut r; the other positions leave too few bins before or after j. Element
+    # j at j + k follows element j - 1 at any j - 1 + k' with k' <= k.
     pos = np.arange(bins)
     orig_by_cut = (pos[:, None] + pos[None, :]) % bins
-    f = q[0, orig_by_cut]
-    prev_best = np.empty_like(f)
-    prev_best[:, 0] = MASKED
-    for i in range(1, n):
-        np.maximum.accumulate(f[:, :-1], axis=1, out=prev_best[:, 1:])
-        f = q[i, orig_by_cut] + prev_best
+    f = q[0].take(orig_by_cut[:, :width])
+    for j in range(1, n):
+        f = q[j].take(orig_by_cut[:, j : j + width]) + np.maximum.accumulate(f, axis=1)
     per_cut_best = f.max(axis=1)
     cut = int(np.argmax(per_cut_best))  # first max: lowest cut wins ties
     if per_cut_best[cut] <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
-    bins_in_order = _extract_lex_min(q, cut)
-    return _finish(scores, order, bins_in_order, "dp_exact", cut)
+    return _finish(scores, order, _extract_lex_min(q, cut), "dp_exact", cut)
 
 
-def _extract_lex_min(q: np.ndarray, cut: int) -> np.ndarray:
-    """Optimal assignment under `cut` with lexicographically smallest bins.
+def _extract_lex_min(q: np.ndarray, cut: int) -> list[int]:
+    """Optimal assignment under a feasible `cut` with lexicographically
+    smallest original bins.
 
-    Backward pass computes the exact best completion from each (element,
-    position); the forward greedy then picks, element by element, the
-    smallest original bin that still attains the optimum. Exact because the
-    scores are integers.
+    One backward pass over the same band as `solve` computes, per (element,
+    band column), the key g * 2**9 + (511 - original bin), where g is the
+    exact best completion from that cell. A suffix maximum of the keys then
+    holds both the best completion and, among ties, the smallest original
+    bin, so the forward walk only follows keys. Infeasible keys are clamped
+    to MASKED * 2**9: feasible |g| <= n * 2**40 < 2**49, so the clamp never
+    changes a feasible comparison, and no sum overflows int64.
     """
 
     n, bins = q.shape
+    width = bins - n + 1
     orig = (np.arange(bins) + cut) % bins
-    qrot = q[:, orig]
-    g = np.empty((n, bins), dtype=np.int64)
-    g[n - 1] = qrot[n - 1]
+    # columns reversed (band column k at width - 1 - k) so suffix maxima are
+    # prefix maxima
+    cols = orig[np.arange(n)[:, None] + np.arange(width - 1, -1, -1)[None, :]]
+    keys = (q[np.arange(n)[:, None], cols] << TIE_BITS) + (TIE_MASK - cols)
+    floor = np.int64(MASKED << TIE_BITS)
+    best = np.empty_like(keys)
+    np.maximum.accumulate(keys[n - 1], out=best[n - 1])
     for i in range(n - 2, -1, -1):
-        running = np.maximum.accumulate(g[i + 1][::-1])[::-1]
-        nxt = np.empty(bins, dtype=np.int64)
-        nxt[-1] = MASKED
-        nxt[:-1] = running[1:]
-        g[i] = qrot[i] + nxt
-    chosen = np.empty(n, dtype=int)
-    prev = -1
-    for i in range(n):
-        tail = g[i][prev + 1 :]
-        best = tail.max()
-        ties = np.flatnonzero(tail == best) + prev + 1
-        prev = int(ties[np.argmin(orig[ties])])
-        chosen[i] = orig[prev]
+        # element i at band column k continues with element i + 1 at k' >= k
+        row = keys[i] + (best[i + 1] & ~TIE_MASK)
+        np.maximum(row, floor, out=row)
+        np.maximum.accumulate(row, out=best[i])
+    chosen = []
+    k = 0
+    for i, row in enumerate(best.tolist()):
+        b = TIE_MASK - (row[width - 1 - k] & TIE_MASK)
+        chosen.append(b)
+        k = (b - cut) % bins - i
     return chosen
 
 
@@ -208,10 +220,7 @@ def colocated_solution(scores: ScoreMatrix) -> PlacementSolution:
     _check_instance(scores)
     layout = scores.layout
     order = layout.circular_order()
-    size = scores.model.bin_size_deg
-    bins_in_order = np.array(
-        [bin_of(layout.elements[i].visual_azimuth_deg, size) for i in order], dtype=int
-    )
+    bins_in_order = bin_of(layout.visual_azimuths[order], scores.model.bin_size_deg)
     warning = None
     if len(set(bins_in_order.tolist())) != len(bins_in_order):
         warning = "degenerate baseline: multiple elements share a visual bin"

@@ -67,7 +67,8 @@ def build_score_matrix(
 
     Entry (i, s) = w_blur * P(v_i | s) + w_cone * D(v_i, s) / 180 where the
     candidate's geometry is taken at its bin center. Pure function of its
-    inputs; an unknown `cone_rule` raises ValueError whatever the layout.
+    inputs; an unknown `cone_rule` raises ValueError whatever the layout, and
+    so do weights large enough to make a score overflow to infinity.
     """
 
     if cone_rule not in get_args(ConeRule):
@@ -75,7 +76,12 @@ def build_score_matrix(
     v_bins = bin_of(layout.visual_azimuths, model.bin_size_deg)
     blur = model.matrix.T[v_bins]
     cone = _cone_distances(layout, model.bin_size_deg, cone_rule)
-    values = weights.blur * blur + weights.cone * cone / MAX_CONE_DISTANCE_DEG
+    with np.errstate(over="ignore"):
+        values = weights.blur * blur + weights.cone * cone / MAX_CONE_DISTANCE_DEG
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"scores must be finite; weights blur={weights.blur!r}, cone={weights.cone!r} overflow"
+        )
     values.flags.writeable = False
     return ScoreMatrix(values, weights, model, layout, cone_rule)
 

@@ -134,11 +134,15 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     converges to this value.
     """
 
+    n = len(layout.elements)
     bins = _bins_in_layout_order(solution, layout)
     decided = decision_by_bin(layout, model.bin_size_deg)
-    per_element = [
-        float(model.matrix[bins[i], decided == i].sum()) for i in range(len(layout.elements))
-    ]
+    # Columns grouped by decided element, ascending within each group, so
+    # each element sums the same values in the same order as a boolean mask.
+    by_element = np.argsort(decided, kind="stable")
+    rows = model.matrix[bins[:, None], by_element[None, :]]
+    ends = np.cumsum(np.bincount(decided, minlength=n)).tolist()
+    per_element = [float(rows[i, lo:hi].sum()) for i, (lo, hi) in enumerate(zip([0, *ends], ends))]
     return float(np.mean(per_element))
 
 

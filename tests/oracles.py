@@ -5,7 +5,9 @@ a time, the way the definitions read. The library's vectorized versions
 must agree with them exactly (`np.array_equal`), not within a tolerance:
 the arithmetic per element is the same, only the looping moved into NumPy.
 `brute_force_solve` enumerates every feasible assignment as an independent
-check on the solver's dynamic program.
+check on the solver's dynamic program, and `extract_lex_min` is the
+full-width backward pass with a forward greedy that the solver's keyed
+band extraction replaced.
 """
 
 from __future__ import annotations
@@ -193,6 +195,52 @@ def brute_force_solve(
     if best <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
     return _finish(scores, order, np.array(best_bins, dtype=int), "brute_force", best_cut)
+
+
+def extract_lex_min(q: np.ndarray, cut: int) -> np.ndarray | None:
+    """`placement._extract_lex_min` over all bin_count positions, or None
+    when no feasible assignment exists under `cut`.
+
+    The backward pass computes the exact best completion from each (element,
+    position); the forward greedy then picks, element by element, the
+    smallest original bin that still attains the optimum.
+    """
+
+    n, bins = q.shape
+    orig = (np.arange(bins) + cut) % bins
+    qrot = q[:, orig]
+    g = np.empty((n, bins), dtype=np.int64)
+    g[n - 1] = qrot[n - 1]
+    for i in range(n - 2, -1, -1):
+        running = np.maximum.accumulate(g[i + 1][::-1])[::-1]
+        nxt = np.empty(bins, dtype=np.int64)
+        nxt[-1] = MASKED
+        nxt[:-1] = running[1:]
+        g[i] = qrot[i] + nxt
+    if g[0].max() <= INFEASIBLE_THRESHOLD:
+        return None
+    chosen = np.empty(n, dtype=int)
+    prev = -1
+    for i in range(n):
+        tail = g[i][prev + 1 :]
+        best = tail.max()
+        ties = np.flatnonzero(tail == best) + prev + 1
+        prev = int(ties[np.argmin(orig[ties])])
+        chosen[i] = orig[prev]
+    return chosen
+
+
+def expected_accuracy_per_element(
+    solution: cp.PlacementSolution, layout: cp.Layout, model: cp.ConfusionModel
+) -> float:
+    """`expected_accuracy` with one boolean-mask row sum per element."""
+
+    by_id = solution.bins_by_element()
+    decided = cp.decision_by_bin(layout, model.bin_size_deg)
+    per_element = [
+        float(model.matrix[by_id[e.id], decided == i].sum()) for i, e in enumerate(layout.elements)
+    ]
+    return float(np.mean(per_element))
 
 
 def trial_counts(path: str | Path, bin_size_deg: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,29 @@ class TestSolve:
         _, layout, model = files
         assert main(["solve", "--layout", layout, "--model", model, "--weights", weights]) == 2
         assert "weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_overflowing_weights_are_input_errors(self, files, capsys, command):
+        _, layout, model = files
+        argv = [command, "--layout", layout, "--model", model, "--weights", "1.7e308,1.7e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: scores must be finite")
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("azimuth", ["NaN", "Infinity"])
+    def test_non_finite_azimuth_is_input_error(self, tmp_path, capsys, azimuth):
+        layout = tmp_path / "layout.json"
+        layout.write_text(
+            '{"elements": [{"id": "a", "azimuth_deg": 10},'
+            f' {{"id": "b", "azimuth_deg": {azimuth}}}]}}'
+        )
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--layout", str(layout), "--out", str(out)]) == 2
+        assert "element 1: azimuth_deg of 'b' must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cap", ["nan", "-5"])
     @pytest.mark.parametrize("command", ["solve", "eval"])
@@ -250,6 +274,15 @@ class TestModelCommands:
         assert code == 2
         assert "trials_per_bin must be >= 1" in capsys.readouterr().err
         assert not trials_path.exists()
+
+    def test_rejected_trial_budget_leaves_no_model_file(self, tmp_path):
+        model_path = tmp_path / "m.csv"
+        code = main(
+            ["synth-model", "--out", str(model_path), "--trials-csv", str(tmp_path / "t.csv"),
+             "--trials-per-bin", "0"]
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [["table1", "--trials-per-bin", "5"], ["inspect-model"]])
     def test_region_without_bin_center_is_input_error(self, tmp_path, capsys, command):
@@ -429,12 +462,18 @@ class TestFuzz:
         as_json=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_exit_code_is_never_internal(self, command, layout, model, weights, cap, count, as_json):
+    def test_exit_code_is_never_internal(
+        self, calibrated_model, command, layout, model, weights, cap, count, as_json
+    ):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             layout_path, model_path = tmp / "layout.json", tmp / "model.csv"
             layout_path.write_text(layout, encoding="utf-8")
-            if model not in (None, "missing"):
+            if model is None:
+                # the other commands fall back to this model; inspect-model
+                # needs the file
+                cp.save_model(calibrated_model, model_path)
+            elif model != "missing":
                 model_path.write_text(model, encoding="utf-8")
             model_args = [] if model is None else [f"--model={model_path}"]
             scoring_args = [f"--weights={weights}"]

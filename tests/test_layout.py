@@ -35,6 +35,32 @@ class TestConstruction:
         lay = cp.Layout((cp.Element("x", 300.0), cp.Element("y", 20.0), cp.Element("z", 150.0)))
         assert lay.circular_order() == [1, 2, 0]
 
+    @pytest.mark.parametrize("azimuth", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_azimuth(self, azimuth):
+        with pytest.raises(LayoutError, match=r"^azimuth_deg of 'b' must be finite"):
+            cp.Layout((cp.Element("a", 10.0), cp.Element("b", azimuth)))
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 10.0, 359.9995]), st.floats(-720.0, 720.0)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100)
+    def test_cached_azimuths_and_order(self, azimuths):
+        lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
+        per_element = [e.visual_azimuth_deg for e in lay.elements]
+        vis = lay.visual_azimuths
+        assert not vis.flags.writeable
+        with pytest.raises(ValueError):
+            vis[0] = 1.0
+        assert vis.tolist() == per_element
+        assert lay.visual_azimuths is vis
+        order = lay.circular_order()
+        assert order == sorted(range(len(per_element)), key=lambda i: per_element[i])
+        assert lay.circular_order() is not order  # a fresh list each call
+
 
 class TestDeconflict:
     def test_pair_is_spread_in_id_order(self):
@@ -133,6 +159,16 @@ class TestJson:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             cp.load_layout(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("azimuth", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_azimuth_is_located(self, tmp_path, azimuth):
+        path = tmp_path / "layout.json"
+        path.write_text(
+            '{"elements": [{"id": "a", "azimuth_deg": 10},'
+            f' {{"id": "b", "azimuth_deg": {azimuth}}}]}}'
+        )
+        with pytest.raises(LayoutError, match=r"element 1: azimuth_deg of 'b' must be finite"):
+            cp.load_layout(path)
 
     @pytest.mark.parametrize("elevation", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_elevation_is_located(self, tmp_path, elevation):

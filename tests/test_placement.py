@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cueplace as cp
-from cueplace.placement import InfeasibleLayoutError
+from cueplace.placement import (
+    MASKED,
+    InfeasibleLayoutError,
+    _extract_lex_min,
+    _ordered_quantized,
+)
 from tests.conftest import random_scores
-from tests.oracles import brute_force_solve
+from tests.oracles import brute_force_solve, extract_lex_min
 
 
 def scores_from(values, azimuths, bin_size):
@@ -173,6 +178,13 @@ class TestDisplacementLimit:
             brute_force_solve(scores, max_displacement_deg=1.0)
 
 
+    def test_all_masked_at_finest_bins_is_infeasible(self):
+        # 300 elements at 1-degree bins, none within 0 degrees of a bin
+        # centre: every path sums 300 masked cells, which must not overflow
+        scores = random_scores(np.random.default_rng(5), 300, cp.identity_model(1))
+        with pytest.raises(InfeasibleLayoutError):
+            cp.solve(scores, max_displacement_deg=0.0)
+
     @pytest.mark.parametrize("cap", [float("nan"), -5.0])
     def test_rejects_nan_and_negative_cap_as_bad_input(self, identity, side_by_side, cap):
         scores = cp.build_score_matrix(identity, side_by_side)
@@ -180,6 +192,54 @@ class TestDisplacementLimit:
             with pytest.raises(ValueError) as exc:
                 solver(scores, max_displacement_deg=cap)
             assert not isinstance(exc.value, InfeasibleLayoutError)
+
+
+class TestLexMinExtraction:
+    """The keyed band extraction picks the same bins as the full-width greedy
+    on every cut whose optimum is feasible."""
+
+    @staticmethod
+    def assert_matches_oracle(q):
+        compared = 0
+        for cut in range(q.shape[1]):
+            expected = extract_lex_min(q, cut)
+            if expected is None:
+                continue  # no feasible path under this cut; never extracted
+            assert _extract_lex_min(q, cut) == expected.tolist(), cut
+            compared += 1
+        return compared
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        bin_size=st.sampled_from([30, 45, 60, 120]),
+        levels=st.integers(1, 4),
+        masked=st.sampled_from([0.0, 0.2, 0.5]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_scores_with_ties_and_masks(self, seed, bin_size, levels, masked, data):
+        bins = 360 // bin_size
+        n = data.draw(st.integers(1, bins))
+        rng = np.random.default_rng(seed)
+        q = rng.integers(0, levels, size=(n, bins)).astype(np.int64) << 38
+        q[rng.random((n, bins)) < masked] = MASKED
+        self.assert_matches_oracle(q)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(1, 10),
+        cap=st.one_of(st.none(), st.floats(0.0, 120.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_quantized_scores_under_a_cap(self, calibrated_model, seed, n, cap):
+        rng = np.random.default_rng(seed)
+        scores = random_scores(rng, n, calibrated_model, quantize=0.25 if seed % 2 else None)
+        _, q = _ordered_quantized(scores, cap)
+        self.assert_matches_oracle(q)
+
+    def test_every_cut_feasible_without_masks(self):
+        q = np.random.default_rng(8).integers(0, 2, size=(5, 12)).astype(np.int64)
+        assert self.assert_matches_oracle(q) == 12
 
 
 class TestSolverMemory:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,7 +10,12 @@ import cueplace as cp
 from cueplace.confusion import sample_bins
 from cueplace.simulate import expected_accuracy
 from tests.conftest import random_layout
-from tests.oracles import gather_sample_rows, nearest_element_decision, table1_per_trial
+from tests.oracles import (
+    expected_accuracy_per_element,
+    gather_sample_rows,
+    nearest_element_decision,
+    table1_per_trial,
+)
 
 CENTERED = cp.Layout((cp.Element("a", 6.0), cp.Element("b", 90.0), cp.Element("c", 186.0)))
 
@@ -155,6 +160,41 @@ class TestRunSimulation:
         gap, se = opt.accuracy_gap(co)
         assert gap == pytest.approx(opt.accuracy - co.accuracy)
         assert se == pytest.approx(math.hypot(opt.accuracy_stderr, co.accuracy_stderr))
+
+
+class TestExpectedAccuracy:
+    def test_exported(self):
+        assert cp.expected_accuracy is expected_accuracy
+        assert "expected_accuracy" in cp.__all__
+
+    # Colliding and mirrored azimuths give decision ties and elements that
+    # decide no bin at all; every strategy is summed exactly like the oracle.
+    @given(
+        azimuths=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 6.0, 90.0, 174.0, 180.0, 186.0, 354.0]),
+                st.floats(0.0, 360.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        bin_size=st.sampled_from([12, 30, 45]),
+        calibrated=st.booleans(),
+    )
+    @settings(max_examples=80)
+    def test_equals_per_element_oracle(self, azimuths, bin_size, calibrated):
+        assume(len(azimuths) <= 360 // bin_size)
+        model = (
+            cp.synthesize_model(cp.calibrated_params(bin_size_deg=bin_size))
+            if calibrated
+            else cp.identity_model(bin_size)
+        )
+        layout = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
+        scores = cp.build_score_matrix(model, layout)
+        for sol in (cp.colocated_solution(scores), cp.solve(scores)):
+            assert expected_accuracy(sol, layout, model) == expected_accuracy_per_element(
+                sol, layout, model
+            )
 
 
 class TestExpectedErrors:
