@@ -356,25 +356,100 @@ def calibrated_params(bin_size_deg: int = 12) -> SyntheticModelParams:
     )
 
 
+# Trials of `sample_bins` whose guide cell holds a CDF entry are searched
+# this many at a time, which bounds the search's working arrays.
+_SEARCH_BLOCK = 1 << 13
+
+
+def _guide_cells(bin_count: int, trials_per_row: int) -> int:
+    """Cells per row of the sampler's guide table: the largest power of two
+    not above 16 per bin, nor above the trials a row serves, so building
+    the table never costs more than looking the trials up in it."""
+
+    k = max(1, min(16 * bin_count, trials_per_row))
+    return 1 << (k.bit_length() - 1)
+
+
 def sample_bins(model: ConfusionModel, true_bins: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of one perceived bin per trial.
 
     The cue of trial k plays in `true_bins[k]` and is perceived in the bin
     numbered by how many of that row's CDF entries are at or below the
-    uniform `u[k]`, capped at the last bin. Both arguments are 1-d. The model
-    keeps its entries non-negative, so each CDF is non-decreasing and one
-    binary search per distinct true bin finds that count, in O(trials) memory.
+    uniform `u[k]`, capped at the last bin. Both arguments are 1-d and `u`
+    is non-negative; values at or past 1 are allowed. The model keeps its
+    entries non-negative, so each CDF is non-decreasing.
+
+    The count is found by indexed search (Chen & Asau, AIIE Trans. 6(2),
+    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
+    For the rows the trials use, a guide table splits [0, 1) into K equal
+    cells, K a power of two, plus one cell for u >= 1, and records per cell
+    how many CDF entries lie below the cell and below its upper edge.
+    Scaling by K is exact, so every entry and every uniform falls in its
+    true cell. Where the two counts agree (after the cap) the trial's
+    answer is one table lookup; the other trials are resolved by a binary
+    search over the entries inside their cell. K is derived from the
+    bin count and the trials per row (`_guide_cells`), and the working
+    memory is the used rows' CDFs, the table and O(trials).
     """
 
-    cdf = np.cumsum(model.matrix, axis=1)
-    out = np.empty(u.size, dtype=np.intp)
-    by_bin = np.argsort(true_bins)
-    counts = np.bincount(true_bins, minlength=model.bin_count)
-    ends = np.cumsum(counts)
-    for b in np.flatnonzero(counts):
-        trials = by_bin[ends[b] - counts[b] : ends[b]]
-        out[trials] = np.searchsorted(cdf[b], u[trials], side="right")
-    return np.minimum(out, model.bin_count - 1)
+    nb = model.bin_count
+    rows = np.flatnonzero(np.bincount(true_bins, minlength=nb))
+    r = rows.size
+    cells = _guide_cells(nb, u.size // max(r, 1))
+    width = cells + 1
+
+    # cdf[j, i] is entry j of used row i. It is stored column by column with
+    # a row of NaN after the last entry, so a search probe past the end of a
+    # row lands on NaN (or is clipped to it) and `cdf <= u` is false there.
+    cdf = np.empty((nb + 1, r))
+    np.cumsum(model.matrix[rows].T, axis=0, out=cdf[:nb])
+    cdf[nb] = np.nan
+
+    # counts[i, c] = entries of row i below c/K for c <= K, and all of them
+    # for c = K + 1, capped at the last bin. An entry lies in cell
+    # floor(entry * K); the cast truncates, which is the floor for entries >= 0.
+    cell_of = np.multiply(cdf[:nb], cells, out=np.empty((nb, r), np.intp), casting="unsafe")
+    np.minimum(cell_of, cells, out=cell_of)
+    cell_of += np.arange(1, r * (width + 1), width + 1)
+    counts = np.bincount(cell_of.ravel(), minlength=r * (width + 1)).reshape(r, width + 1)
+    del cell_of  # each large temporary goes before the next, keeping the peak low
+    np.cumsum(counts, axis=1, out=counts)
+    np.minimum(counts, nb - 1, out=counts)
+    below, span = counts[:, :-1], np.diff(counts, axis=1)
+
+    # A cell whose span is 0 holds the answer for every uniform in it. Any
+    # other holds the bitwise complement of the flat position in `cdf` of
+    # the first entry it may still count.
+    steps = int(span.max(initial=0)).bit_length()  # binary-search steps the widest cell needs
+    table = below * r
+    table += np.arange(r)[:, None]
+    np.invert(table, out=table)
+    np.copyto(table, below, where=span == 0)
+    del counts, below, span
+
+    first_cell = np.zeros(nb, dtype=np.intp)
+    first_cell[rows] = np.arange(0, r * width, width)
+    cell = np.multiply(u, cells, out=np.empty(u.size, np.intp), casting="unsafe")
+    np.minimum(cell, cells, out=cell)
+    cell += first_cell.take(true_bins)
+    out = table.take(cell)
+    del cell, table
+
+    # Binary lifting from the cell's first candidate entry: with jumps of
+    # 2^(steps-1), ..., 2, 1 entries, a jump is taken when the entry it lands
+    # on is <= u.
+    flat = cdf.ravel()
+    pending = np.flatnonzero(out < 0)
+    for lo in range(0, pending.size, _SEARCH_BLOCK):
+        trials = pending[lo : lo + _SEARCH_BLOCK]
+        pos = ~out.take(trials)  # count * r + row
+        draws = u.take(trials)
+        for s in reversed(range(steps)):
+            jump = 1 << s
+            hit = flat.take(pos + (jump - 1) * r, mode="clip") <= draws
+            np.add(pos, jump * r, out=pos, where=hit)
+        out[trials] = np.minimum(pos // r, nb - 1)
+    return out
 
 
 def sample_perceived(model: ConfusionModel, true_bin: int, rng: np.random.Generator, size=None):

@@ -102,8 +102,9 @@ def run_simulation(
     accuracy = float(correct.mean())
 
     circ_by_bin, adj_by_bin = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
-    circular = circ_by_bin[targets, perceived]
-    adjusted = adj_by_bin[targets, perceived]
+    cell = targets * model.bin_count + perceived
+    circular = circ_by_bin.take(cell)
+    adjusted = adj_by_bin.take(cell)
 
     counts = np.bincount(targets * n + decided, minlength=n * n).reshape(n, n)
     counts.flags.writeable = False
@@ -180,8 +181,9 @@ def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
     perceived = sample_bins(model, true_bins, rng.random(true_bins.size))
     centers = bin_centers(model.bin_size_deg)
     circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)
-    circular = circ_by_bin[true_bins, perceived]
-    adjusted = adj_by_bin[true_bins, perceived]
+    cell = true_bins * n + perceived
+    circular = circ_by_bin.take(cell)
+    adjusted = adj_by_bin.take(cell)
     return true_bins, perceived, circular, adjusted
 
 
@@ -222,20 +224,23 @@ def table1_statistics(
                 f"region {name!r} holds one bin, so {trials_per_bin} trial per bin leaves "
                 "its SDs undefined; trials_per_bin must be >= 2"
             )
-    regions = by_bin[true_bins]
     cone = circular - adjusted
 
     out: dict[str, LocalizationStats] = {}
     for name in (*bounds, "all"):
-        m = regions == name if name != "all" else np.ones_like(circular, dtype=bool)
+        if name == "all":
+            c, a, k = circular, adjusted, cone
+        else:
+            m = (by_bin == name).take(true_bins)
+            c, a, k = circular[m], adjusted[m], cone[m]
         out[name] = LocalizationStats(
-            circular_mean=float(circular[m].mean()),
-            circular_sd=float(circular[m].std(ddof=1)),
-            adjusted_mean=float(adjusted[m].mean()),
-            adjusted_sd=float(adjusted[m].std(ddof=1)),
-            cone_effect_mean=float(cone[m].mean()),
-            cone_effect_sd=float(cone[m].std(ddof=1)),
-            trials=int(m.sum()),
+            circular_mean=float(c.mean()),
+            circular_sd=float(c.std(ddof=1)),
+            adjusted_mean=float(a.mean()),
+            adjusted_sd=float(a.std(ddof=1)),
+            cone_effect_mean=float(k.mean()),
+            cone_effect_sd=float(k.std(ddof=1)),
+            trials=c.size,
         )
     return out
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -447,6 +448,31 @@ weight_texts = st.one_of(
     st.text(max_size=6),
 )
 
+# Valid inputs. The fuzz test draws them as a whole, next to the inputs
+# above, so that solve and eval often reach the solver, the sampler and the
+# report instead of stopping at the first bad argument.
+valid_layout_texts = st.lists(
+    st.floats(0.0, 360.0, exclude_max=True), min_size=1, max_size=8
+).map(
+    lambda az: json.dumps(
+        {"elements": [{"id": f"e{i}", "azimuth_deg": a} for i, a in enumerate(az)]}
+    )
+)
+valid_weight_texts = st.one_of(
+    st.just("0.9,0.1"), st.tuples(unit, unit).map(lambda w: f"{w[0]!r},{w[1]!r}")
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _calibrated_model_text(bin_size: int) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.csv"
+        cp.save_model(cp.synthesize_model(cp.calibrated_params(bin_size)), path)
+        return path.read_text(encoding="utf-8")
+
+
+valid_model_texts = st.sampled_from([3, 12, 30, 45]).map(_calibrated_model_text)
+
 
 class TestFuzz:
     """Any layout, model file, weights or cap ends in exit 0, 2 or 3, never 4,
@@ -454,17 +480,27 @@ class TestFuzz:
 
     @given(
         command=st.sampled_from(["solve", "eval", "inspect-model", "table1"]),
-        layout=layout_texts(),
-        model=st.one_of(st.none(), model_texts(), st.just("missing")),
-        weights=weight_texts,
-        cap=st.one_of(st.none(), st.floats(0.0, 180.0), any_float),
-        count=st.integers(-1, 30),
+        inputs=st.one_of(
+            st.tuples(
+                layout_texts(),
+                st.one_of(st.none(), model_texts(), st.just("missing")),
+                weight_texts,
+                st.one_of(st.none(), st.floats(0.0, 180.0), any_float),
+                st.integers(-1, 30),
+            ),
+            st.tuples(
+                valid_layout_texts,
+                st.one_of(st.none(), valid_model_texts),
+                valid_weight_texts,
+                st.one_of(st.none(), st.floats(0.0, 180.0)),
+                st.integers(2, 30),
+            ),
+        ),
         as_json=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_exit_code_is_never_internal(
-        self, calibrated_model, command, layout, model, weights, cap, count, as_json
-    ):
+    def test_exit_code_is_never_internal(self, calibrated_model, command, inputs, as_json):
+        layout, model, weights, cap, count = inputs
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             layout_path, model_path = tmp / "layout.json", tmp / "model.csv"

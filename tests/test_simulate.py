@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cueplace as cp
-from cueplace.confusion import sample_bins
+from cueplace.confusion import _guide_cells, sample_bins
 from cueplace.simulate import expected_accuracy
 from tests.conftest import random_layout
 from tests.oracles import (
@@ -95,6 +96,107 @@ class TestSampler:
         u = np.random.default_rng(3).random(5000)
         expected = gather_sample_rows(calibrated_model.matrix, np.full(5000, 7), u)
         assert np.array_equal(draws, expected)
+
+    # The cases below use enough trials per row for a fine guide table, and
+    # each checks that trials land in cells holding a CDF entry, where the
+    # sampler has to search instead of reading the table.
+
+    @staticmethod
+    def uniforms(rng, matrix, true_bins):
+        """Random uniforms with 0, the largest double below 1, 1, a value
+        past 1 and the trial's own row CDF values mixed in."""
+
+        u = rng.random(true_bins.size)
+        cdf = np.cumsum(matrix, axis=1)
+        pick = rng.random(u.size) < 0.2
+        u[pick] = cdf[true_bins[pick], rng.integers(matrix.shape[1], size=pick.sum())]
+        edges = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, 1.5])
+        pick = rng.random(u.size) < 0.03
+        u[pick] = rng.choice(edges, size=pick.sum())
+        return u
+
+    @staticmethod
+    def searched(matrix, true_bins, u):
+        """Trials whose guide-table cell holds a CDF entry (after the cap)."""
+
+        bins, rows = matrix.shape[1], np.unique(true_bins)
+        cells = _guide_cells(bins, u.size // rows.size)
+        cdf = np.cumsum(matrix, axis=1)
+        cell = np.minimum(np.floor(u * cells), cells)
+        total = 0
+        for b in rows:
+            c = cell[true_bins == b]
+            below = np.searchsorted(cdf[b], c / cells, side="left")
+            upto = np.where(c < cells, np.searchsorted(cdf[b], (c + 1) / cells, side="left"), bins)
+            total += np.count_nonzero(np.minimum(below, bins - 1) != np.minimum(upto, bins - 1))
+        return total
+
+    def check(self, matrix, true_bins, u):
+        model = cp.ConfusionModel(360 // matrix.shape[0], matrix)
+        expected = np.concatenate(
+            [
+                gather_sample_rows(matrix, true_bins[s : s + 2048], u[s : s + 2048])
+                for s in range(0, u.size, 2048)
+            ]
+        )
+        assert np.array_equal(sample_bins(model, true_bins, u), expected)
+        assert self.searched(matrix, true_bins, u) > 0
+
+    @pytest.mark.parametrize("bin_size", [12, 3, 1])
+    def test_fine_table_matches_gather_sampler(self, bin_size):
+        matrix = cp.synthesize_model(cp.calibrated_params(bin_size)).matrix
+        rng = np.random.default_rng(bin_size)
+        rows = rng.choice(matrix.shape[0], size=5, replace=False)
+        true_bins = rows[rng.integers(5, size=20000)]  # ~4000 trials per row
+        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+
+    @pytest.mark.parametrize("bin_size", [12, 90])
+    def test_entries_on_dyadic_cell_edges(self, bin_size):
+        # weights 0.25 and 0.5 put every CDF entry on a cell edge
+        bins = 360 // bin_size
+        rng = np.random.default_rng(bins)
+        matrix = np.zeros((bins, bins))
+        for row in matrix:
+            cols = rng.choice(bins, size=min(3, bins), replace=False)
+            row[cols] = [0.25, 0.25, 0.5][: cols.size]
+            row[cols[0]] += 1.0 - row.sum()
+        true_bins = rng.integers(bins, size=bins * 1000)
+        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+
+    def test_all_rows_at_200_per_bin_with_crowded_tails(self):
+        # at 1-degree bins many tiny entries share the first and last cells
+        matrix = cp.synthesize_model(cp.calibrated_params(1)).matrix
+        rng = np.random.default_rng(1)
+        true_bins = np.repeat(np.arange(360), 200)
+        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+
+    @pytest.mark.parametrize("bin_size", [12, 1])
+    def test_identity_model(self, bin_size):
+        matrix = cp.identity_model(bin_size).matrix
+        rng = np.random.default_rng(bin_size)
+        true_bins = rng.integers(matrix.shape[0], size=30000)
+        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+
+    @pytest.mark.parametrize("bin_size", [12, 1])
+    def test_one_row(self, bin_size):
+        matrix = cp.synthesize_model(cp.calibrated_params(bin_size)).matrix
+        rng = np.random.default_rng(7)
+        true_bins = np.full(50000, matrix.shape[0] // 3)
+        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+
+    def test_memory_at_finest_bins(self):
+        # 1-degree bins, all rows at 200 trials: the peak stays below that
+        # of the per-bin binary search this sampler replaced (2.77 MB)
+        model = cp.synthesize_model(cp.calibrated_params(1))
+        true_bins = np.repeat(np.arange(360), 200)
+        u = np.random.default_rng(0).random(true_bins.size)
+        tracemalloc.start()
+        try:
+            sample_bins(model, true_bins, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_770_000
 
 
 class TestRunSimulation:
