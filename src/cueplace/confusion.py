@@ -370,6 +370,83 @@ def _guide_cells(bin_count: int, trials_per_row: int) -> int:
     return 1 << (k.bit_length() - 1)
 
 
+def _build_guide(
+    model: ConfusionModel, rows: np.ndarray, cells: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Guide table of `sample_bins` over K = `cells` cells for the given
+    model rows (repeats allowed): the rows' CDFs, the table, and the
+    binary-search steps its widest cell needs."""
+
+    nb = model.bin_count
+    r = rows.size
+
+    # cdf[j, i] is entry j of row i. It is stored column by column with a
+    # row of NaN after the last entry, so a search probe past the end of a
+    # row lands on NaN (or is clipped to it) and `cdf <= u` is false there.
+    cdf = np.empty((nb + 1, r))
+    np.cumsum(model.matrix[rows].T, axis=0, out=cdf[:nb])
+    cdf[nb] = np.nan
+
+    # counts[c, i] = entries of row i below c/K for c <= K, and all of them
+    # for c = K + 1, capped at the last bin. An entry lies in cell
+    # floor(entry * K); the cast truncates, which is the floor for entries >= 0.
+    cell_of = np.multiply(cdf[:nb], cells, out=np.empty((nb, r), np.intp), casting="unsafe")
+    np.minimum(cell_of, cells, out=cell_of)
+    cell_of *= r
+    cell_of += np.arange(r, 2 * r)
+    counts = np.bincount(cell_of.ravel(), minlength=(cells + 2) * r).reshape(cells + 2, r)
+    del cell_of  # each large temporary goes before the next, keeping the peak low
+    np.cumsum(counts, axis=0, out=counts)
+    np.minimum(counts, nb - 1, out=counts)
+    below, span = counts[:-1], np.diff(counts, axis=0)
+
+    # table[c, i]: a cell whose span is 0 holds the answer for every uniform
+    # in it. Any other holds the bitwise complement of the flat position in
+    # `cdf` of the first entry it may still count.
+    table = below * r
+    table += np.arange(r)
+    np.invert(table, out=table)
+    np.copyto(table, below, where=span == 0)
+    return cdf, table, int(span.max(initial=0)).bit_length()
+
+
+def _draw(
+    model: ConfusionModel, rows: np.ndarray, row_index: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Perceived bin of each trial: trial k plays in bin `rows[row_index[k]]`
+    and draws with the uniform `u[k]`. The one trial-length array it keeps
+    is the result, allocated after the guide is built and used first for
+    the trials' cell indices."""
+
+    nb, r = model.bin_count, rows.size
+    cells = _guide_cells(nb, u.size // max(r, 1))
+    cdf, table, steps = _build_guide(model, rows, cells)
+
+    out = np.multiply(u, cells, out=np.empty(u.size, np.intp), casting="unsafe")
+    np.minimum(out, cells, out=out)
+    out *= r
+    out += row_index
+    # Each trial reads its own cell index before its table entry overwrites it.
+    np.take(table, out, out=out, mode="clip")
+    del table
+
+    # Binary lifting from the cell's first candidate entry: with jumps of
+    # 2^(steps-1), ..., 2, 1 entries, a jump is taken when the entry it lands
+    # on is <= u.
+    flat = cdf.ravel()
+    pending = np.flatnonzero(out < 0)
+    for lo in range(0, pending.size, _SEARCH_BLOCK):
+        trials = pending[lo : lo + _SEARCH_BLOCK]
+        pos = ~out.take(trials)  # count * r + row
+        draws = u.take(trials)
+        for s in reversed(range(steps)):
+            jump = 1 << s
+            hit = flat.take(pos + (jump - 1) * r, mode="clip") <= draws
+            np.add(pos, jump * r, out=pos, where=hit)
+        out[trials] = np.minimum(pos // r, nb - 1)
+    return out
+
+
 def sample_bins(model: ConfusionModel, true_bins: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of one perceived bin per trial.
 
@@ -394,62 +471,11 @@ def sample_bins(model: ConfusionModel, true_bins: np.ndarray, u: np.ndarray) -> 
 
     nb = model.bin_count
     rows = np.flatnonzero(np.bincount(true_bins, minlength=nb))
-    r = rows.size
-    cells = _guide_cells(nb, u.size // max(r, 1))
-    width = cells + 1
-
-    # cdf[j, i] is entry j of used row i. It is stored column by column with
-    # a row of NaN after the last entry, so a search probe past the end of a
-    # row lands on NaN (or is clipped to it) and `cdf <= u` is false there.
-    cdf = np.empty((nb + 1, r))
-    np.cumsum(model.matrix[rows].T, axis=0, out=cdf[:nb])
-    cdf[nb] = np.nan
-
-    # counts[i, c] = entries of row i below c/K for c <= K, and all of them
-    # for c = K + 1, capped at the last bin. An entry lies in cell
-    # floor(entry * K); the cast truncates, which is the floor for entries >= 0.
-    cell_of = np.multiply(cdf[:nb], cells, out=np.empty((nb, r), np.intp), casting="unsafe")
-    np.minimum(cell_of, cells, out=cell_of)
-    cell_of += np.arange(1, r * (width + 1), width + 1)
-    counts = np.bincount(cell_of.ravel(), minlength=r * (width + 1)).reshape(r, width + 1)
-    del cell_of  # each large temporary goes before the next, keeping the peak low
-    np.cumsum(counts, axis=1, out=counts)
-    np.minimum(counts, nb - 1, out=counts)
-    below, span = counts[:, :-1], np.diff(counts, axis=1)
-
-    # A cell whose span is 0 holds the answer for every uniform in it. Any
-    # other holds the bitwise complement of the flat position in `cdf` of
-    # the first entry it may still count.
-    steps = int(span.max(initial=0)).bit_length()  # binary-search steps the widest cell needs
-    table = below * r
-    table += np.arange(r)[:, None]
-    np.invert(table, out=table)
-    np.copyto(table, below, where=span == 0)
-    del counts, below, span
-
-    first_cell = np.zeros(nb, dtype=np.intp)
-    first_cell[rows] = np.arange(0, r * width, width)
-    cell = np.multiply(u, cells, out=np.empty(u.size, np.intp), casting="unsafe")
-    np.minimum(cell, cells, out=cell)
-    cell += first_cell.take(true_bins)
-    out = table.take(cell)
-    del cell, table
-
-    # Binary lifting from the cell's first candidate entry: with jumps of
-    # 2^(steps-1), ..., 2, 1 entries, a jump is taken when the entry it lands
-    # on is <= u.
-    flat = cdf.ravel()
-    pending = np.flatnonzero(out < 0)
-    for lo in range(0, pending.size, _SEARCH_BLOCK):
-        trials = pending[lo : lo + _SEARCH_BLOCK]
-        pos = ~out.take(trials)  # count * r + row
-        draws = u.take(trials)
-        for s in reversed(range(steps)):
-            jump = 1 << s
-            hit = flat.take(pos + (jump - 1) * r, mode="clip") <= draws
-            np.add(pos, jump * r, out=pos, where=hit)
-        out[trials] = np.minimum(pos // r, nb - 1)
-    return out
+    # A row index is below B <= 360 and lives through the search, so it is
+    # kept in 16 bits.
+    row_of = np.zeros(nb, np.int16)
+    row_of[rows] = np.arange(rows.size)
+    return _draw(model, rows, row_of.take(true_bins), u)
 
 
 def sample_perceived(model: ConfusionModel, true_bin: int, rng: np.random.Generator, size=None):

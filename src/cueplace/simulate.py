@@ -22,7 +22,7 @@ from .confusion import (
     DEFAULT_REGION_BOUNDS,
     ConfusionModel,
     ModelFormatError,
-    region_of,
+    _draw,
     sample_bins,
 )
 from .layout import Layout
@@ -85,32 +85,54 @@ def run_simulation(
     so results depend only on the seed. The listener's decision rule is
     `decision_by_bin`; errors are measured between the perceived
     azimuth and the target element's visual azimuth.
+
+    A trial's outcome depends only on its (target, percept) cell, so no
+    decision, correctness flag or error is kept per trial. Three
+    trial-length arrays hold the run: the targets, the uniforms and the
+    percepts. The percepts' buffer becomes the cells, whose histogram,
+    with each target's percept bins summed per decided element, gives the
+    confusion counts. The uniforms' buffer, spent once the percepts are
+    drawn, takes each trial's circular, adjusted and cone-effect error in
+    turn for the three means. A fresh array of this size is often new
+    memory from the operating system and costs a page fault per 4 KB page,
+    so the run allocates as few as it can.
     """
 
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n = len(layout.elements)
-    bins = _bins_in_layout_order(solution, layout)
+    n, nb = len(layout.elements), model.bin_count
+    by_element, ends = _decision_groups(layout, model.bin_size_deg)
     rng = np.random.default_rng(seed)
-
     targets = rng.integers(n, size=trials)
     u = rng.random(trials)
-    perceived = sample_bins(model, bins[targets], u)
 
-    decided = decision_by_bin(layout, model.bin_size_deg)[perceived]
-    correct = decided == targets
-    accuracy = float(correct.mean())
+    cell = _draw(model, _bins_in_layout_order(solution, layout), targets, u)
+    cell += np.multiply(targets, nb, out=targets)
+    del targets  # scaled in place, and its memory goes before the tables below
 
-    circ_by_bin, adj_by_bin = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
-    cell = targets * model.bin_count + perceived
-    circular = circ_by_bin.take(cell)
-    adjusted = adj_by_bin.take(cell)
-
-    counts = np.bincount(targets * n + decided, minlength=n * n).reshape(n, n)
+    # Confusion counts: the histogram of (target, percept) cells with its
+    # columns grouped by decided element, summed per group.
+    grouped = np.bincount(cell, minlength=n * nb).reshape(n, nb).take(by_element, axis=1)
+    sizes = np.diff(ends, prepend=0)
+    held = sizes > 0
+    counts = np.zeros((n, n), dtype=np.intp)
+    counts[:, held] = np.add.reduceat(grouped, (ends - sizes)[held], axis=1)
+    del grouped
     counts.flags.writeable = False
     per_trials = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_acc = np.where(per_trials > 0, np.diag(counts) / np.maximum(per_trials, 1), np.nan)
+    # The count of correct trials over the trials: what the mean of a 0/1
+    # array per trial gives, since float sums of ones are exact.
+    accuracy = float(np.trace(counts) / trials)
+
+    # The uniforms are spent; their buffer takes each trial's error in turn.
+    circular, adjusted = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
+    errors = u
+    mean_circular = float(np.take(circular, cell, out=errors, mode="clip").mean())
+    mean_adjusted = float(np.take(adjusted, cell, out=errors, mode="clip").mean())
+    cone = np.subtract(circular, adjusted, out=circular)
+    mean_cone = float(np.take(cone, cell, out=errors, mode="clip").mean())
 
     return SimulationReport(
         strategy=solution.solver if strategy is None else strategy,
@@ -121,10 +143,21 @@ def run_simulation(
         per_element_accuracy=tuple(float(a) for a in per_acc),
         per_element_trials=tuple(int(t) for t in per_trials),
         confusion_counts=counts,
-        mean_circular_error_deg=float(circular.mean()),
-        mean_adjusted_error_deg=float(adjusted.mean()),
-        mean_cone_effect_deg=float((circular - adjusted).mean()),
+        mean_circular_error_deg=mean_circular,
+        mean_adjusted_error_deg=mean_adjusted,
+        mean_cone_effect_deg=mean_cone,
     )
+
+
+def _decision_groups(layout: Layout, bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bins grouped by the element the listener decides for them, and where
+    each element's group ends. The sort is stable, so bins ascend within a
+    group and a sum over it adds the same values in the same order as a
+    boolean mask would."""
+
+    decided = decision_by_bin(layout, bin_size_deg)
+    ends = np.cumsum(np.bincount(decided, minlength=len(layout.elements)))
+    return np.argsort(decided, kind="stable"), ends
 
 
 def expected_accuracy(solution: PlacementSolution, layout: Layout, model: ConfusionModel) -> float:
@@ -135,14 +168,10 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     converges to this value.
     """
 
-    n = len(layout.elements)
     bins = _bins_in_layout_order(solution, layout)
-    decided = decision_by_bin(layout, model.bin_size_deg)
-    # Columns grouped by decided element, ascending within each group, so
-    # each element sums the same values in the same order as a boolean mask.
-    by_element = np.argsort(decided, kind="stable")
+    by_element, ends = _decision_groups(layout, model.bin_size_deg)
     rows = model.matrix[bins[:, None], by_element[None, :]]
-    ends = np.cumsum(np.bincount(decided, minlength=n)).tolist()
+    ends = ends.tolist()
     per_element = [float(rows[i, lo:hi].sum()) for i, (lo, hi) in enumerate(zip([0, *ends], ends))]
     return float(np.mean(per_element))
 
@@ -188,15 +217,23 @@ def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
 
 
 def _regions_by_bin(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
-    """Region of each bin center. Every region must hold one, or it has no statistics."""
+    """Region of each bin center, as `region_of` names it: the first region
+    in `bounds` order whose arc holds the center. Every center must be
+    covered, and every region must hold one, or it has no statistics."""
 
-    regions = np.array([region_of(c, bounds) for c in bin_centers(bin_size_deg)])
-    for name in bounds:
-        if not np.any(regions == name):
+    centers = bin_centers(bin_size_deg)
+    names = list(bounds)
+    which = np.full(centers.size, -1)
+    for k, (lo, hi) in enumerate(bounds.values()):
+        which[(which < 0) & (np.mod(centers - lo, 360.0) < (hi - lo) % 360.0)] = k
+    if np.any(which < 0):
+        raise ValueError(f"region bounds do not cover azimuth {centers[which < 0][0]}")
+    for k, name in enumerate(names):
+        if not np.any(which == k):
             raise ModelFormatError(
                 f"no bin center of a {bin_size_deg}-degree model lies in region {name!r}"
             )
-    return regions
+    return np.array(names)[which]
 
 
 def table1_statistics(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
@@ -22,7 +23,7 @@ import numpy as np
 
 import cueplace as cp
 from cueplace.angles import angular_distance, bin_center, bin_centers, bin_of, normalize
-from cueplace.confusion import DEFAULT_REGION_BOUNDS, region_of
+from cueplace.confusion import DEFAULT_REGION_BOUNDS, region_of, sample_bins
 from cueplace.placement import (
     INFEASIBLE_THRESHOLD,
     MASKED,
@@ -32,6 +33,7 @@ from cueplace.placement import (
     _raise_infeasible,
 )
 from cueplace.scoring import MAX_CONE_DISTANCE_DEG
+from cueplace.simulate import _errors_by_bin
 
 BRUTE_FORCE_MAX_ELEMENTS = 5
 BRUTE_FORCE_MAX_BINS = 36
@@ -119,6 +121,56 @@ def gather_sample_rows(matrix: np.ndarray, true_bins: np.ndarray, u: np.ndarray)
     cdf = np.cumsum(matrix, axis=1)
     idx = (cdf[true_bins] <= u[:, None]).sum(axis=1)
     return np.minimum(idx, matrix.shape[1] - 1)
+
+
+def run_simulation_per_trial(
+    solution: cp.PlacementSolution,
+    layout: cp.Layout,
+    model: cp.ConfusionModel,
+    trials: int = 10000,
+    seed: int = 0,
+    strategy: str | None = None,
+) -> cp.SimulationReport:
+    """`run_simulation` with a decision, a correctness flag and each error
+    kept per trial, and the confusion counts binned by (target, decided)."""
+
+    n = len(layout.elements)
+    by_id = solution.bins_by_element()
+    bins = np.array([by_id[e.id] for e in layout.elements], dtype=int)
+    rng = np.random.default_rng(seed)
+
+    targets = rng.integers(n, size=trials)
+    u = rng.random(trials)
+    perceived = sample_bins(model, bins[targets], u)
+
+    decided = cp.decision_by_bin(layout, model.bin_size_deg)[perceived]
+    correct = decided == targets
+    accuracy = float(correct.mean())
+
+    circ_by_bin, adj_by_bin = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
+    cell = targets * model.bin_count + perceived
+    circular = circ_by_bin.take(cell)
+    adjusted = adj_by_bin.take(cell)
+
+    counts = np.bincount(targets * n + decided, minlength=n * n).reshape(n, n)
+    counts.flags.writeable = False
+    per_trials = counts.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        per_acc = np.where(per_trials > 0, np.diag(counts) / np.maximum(per_trials, 1), np.nan)
+
+    return cp.SimulationReport(
+        strategy=solution.solver if strategy is None else strategy,
+        trials=trials,
+        seed=seed,
+        accuracy=accuracy,
+        accuracy_stderr=math.sqrt(accuracy * (1.0 - accuracy) / trials),
+        per_element_accuracy=tuple(float(a) for a in per_acc),
+        per_element_trials=tuple(int(t) for t in per_trials),
+        confusion_counts=counts,
+        mean_circular_error_deg=float(circular.mean()),
+        mean_adjusted_error_deg=float(adjusted.mean()),
+        mean_cone_effect_deg=float((circular - adjusted).mean()),
+    )
 
 
 def table1_per_trial(

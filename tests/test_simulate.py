@@ -1,20 +1,30 @@
+import dataclasses
 import math
+import re
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cueplace as cp
-from cueplace.confusion import _guide_cells, sample_bins
-from cueplace.simulate import expected_accuracy
+from cueplace.confusion import (
+    DEFAULT_REGION_BOUNDS,
+    ModelFormatError,
+    _guide_cells,
+    region_of,
+    sample_bins,
+)
+from cueplace.simulate import _regions_by_bin, expected_accuracy
 from tests.conftest import random_layout
 from tests.oracles import (
     expected_accuracy_per_element,
     gather_sample_rows,
     nearest_element_decision,
+    run_simulation_per_trial,
     table1_per_trial,
 )
 
@@ -23,6 +33,27 @@ CENTERED = cp.Layout((cp.Element("a", 6.0), cp.Element("b", 90.0), cp.Element("c
 
 def solved(model, layout, **kwargs):
     return cp.solve(cp.build_score_matrix(model, layout), **kwargs)
+
+
+@lru_cache(maxsize=None)
+def model_of(kind, bin_size):
+    if kind == "identity":
+        return cp.identity_model(bin_size)
+    return cp.synthesize_model(cp.calibrated_params(bin_size))
+
+
+def assert_same_report(got, want):
+    """Every field equal bit for bit: arrays in dtype, values and
+    writeability, everything else by repr, so NaN equals NaN and -0.0 is
+    not 0.0."""
+
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.flags.writeable == w.flags.writeable, field.name
+            assert np.array_equal(g, w), field.name
+        else:
+            assert repr(g) == repr(w), field.name
 
 
 class TestDecision:
@@ -263,6 +294,52 @@ class TestRunSimulation:
         assert gap == pytest.approx(opt.accuracy - co.accuracy)
         assert se == pytest.approx(math.hypot(opt.accuracy_stderr, co.accuracy_stderr))
 
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 12), st.sampled_from([12, 3])),  # B = 30, 120
+            st.sampled_from([(100, 3), (300, 1)]),
+        ),
+        trials=st.sampled_from([1, 7, 8, 129, 4097, 50_000]),
+        colocated=st.booleans(),
+        kind=st.sampled_from(["identity", "calibrated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(300, 1), trials=50_000, colocated=True, kind="calibrated", seed=0)
+    @example(shape=(300, 1), trials=4097, colocated=False, kind="identity", seed=1)
+    @example(shape=(100, 3), trials=50_000, colocated=False, kind="calibrated", seed=2)
+    @example(shape=(12, 12), trials=1, colocated=True, kind="calibrated", seed=3)
+    @settings(max_examples=80)
+    def test_matches_per_trial_oracle(self, shape, trials, colocated, kind, seed):
+        # the colocated baseline repeats a bin when two elements share one
+        n, bin_size = shape
+        model = model_of(kind, bin_size)
+        layout = random_layout(np.random.default_rng(seed), n)
+        scores = cp.build_score_matrix(model, layout)
+        solution = cp.colocated_solution(scores) if colocated else cp.solve(scores)
+        assert_same_report(
+            cp.run_simulation(solution, layout, model, trials, seed),
+            run_simulation_per_trial(solution, layout, model, trials, seed),
+        )
+
+    @pytest.mark.parametrize(
+        "n, bin_size, bound",
+        [
+            (12, 12, 2_000_000),  # the per-trial version peaked at 3.26 MB
+            (300, 1, 5_400_000),  # and here at 5.72 MB
+        ],
+    )
+    def test_memory_at_50k_trials(self, n, bin_size, bound):
+        model = model_of("calibrated", bin_size)
+        layout = random_layout(np.random.default_rng(n), n)
+        solution = solved(model, layout)
+        tracemalloc.start()
+        try:
+            cp.run_simulation(solution, layout, model, trials=50_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
 
 class TestExpectedAccuracy:
     def test_exported(self):
@@ -328,6 +405,46 @@ class TestExpectedErrors:
     def test_rejects_region_without_bin_center(self, bin_size):
         with pytest.raises(cp.ModelFormatError, match="lies in region 'front'"):
             cp.expected_localization_errors(cp.identity_model(bin_size))
+
+
+class TestRegionsByBin:
+    @staticmethod
+    def per_center(bin_size, bounds):
+        try:
+            return [region_of(c, bounds) for c in cp.bin_centers(bin_size)]
+        except ValueError as e:
+            return str(e)
+
+    # Arcs between consecutive sorted cut points (a tiling when the cuts lie
+    # within one turn), or arbitrary ones that may overlap or leave centers
+    # uncovered; ends on half degrees often meet a center exactly.
+    ANGLE = st.one_of(st.floats(-400.0, 400.0), st.integers(-800, 1440).map(lambda k: k * 0.5))
+    TILING = st.lists(ANGLE, min_size=2, max_size=5, unique=True).map(
+        lambda cuts: list(zip(sorted(cuts), sorted(cuts)[1:] + sorted(cuts)[:1]))
+    )
+
+    @given(
+        bin_size=st.sampled_from([d for d in range(1, 361) if 360 % d == 0]),
+        arcs=st.one_of(TILING, st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=5)),
+    )
+    @settings(max_examples=300)
+    def test_matches_region_of_per_center(self, bin_size, arcs):
+        bounds = {f"r{i}": arc for i, arc in enumerate(arcs)}
+        expected = self.per_center(bin_size, bounds)
+        if isinstance(expected, str):  # a center no arc covers
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                _regions_by_bin(bin_size, bounds)
+        elif set(expected) != set(bounds):
+            with pytest.raises(ModelFormatError):
+                _regions_by_bin(bin_size, bounds)
+        else:
+            assert _regions_by_bin(bin_size, bounds).tolist() == expected
+
+    @pytest.mark.parametrize("bin_size", [d for d in range(1, 61) if 360 % d == 0])
+    def test_default_bounds(self, bin_size):
+        assert _regions_by_bin(bin_size, DEFAULT_REGION_BOUNDS).tolist() == self.per_center(
+            bin_size, DEFAULT_REGION_BOUNDS
+        )
 
 
 class TestTable1Statistics:
