@@ -28,7 +28,6 @@ from .confusion import (
     identity_model,
     load_model,
     model_from_trials,
-    region_of,
     row_entropies,
     sample_perceived,
     save_model,
@@ -80,7 +79,6 @@ __all__ = [
     "sample_perceived",
     "diagonal_argmax_fraction",
     "row_entropies",
-    "region_of",
     "Element",
     "Layout",
     "LayoutError",

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .angles import bin_center, bin_centers, bin_count_for, bin_of, mirror_front_back, normalize
+from .angles import bin_centers, bin_count_for, bin_of, normalize
 
 REGIONS = ("front", "right", "back", "left")
 
@@ -52,16 +52,18 @@ class ModelFormatError(ValueError):
         self.column = column
 
 
-def region_of(azimuth_deg: float, bounds: Mapping[str, tuple[float, float]] | None = None) -> str:
-    """Name of the region whose arc contains the azimuth."""
+def _regions_by_bin(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
+    """Name of the region holding each bin center: the first region in
+    `bounds` order whose half-open arc [lo, hi) holds it. Every center must
+    be covered; a region may hold none."""
 
-    bounds = DEFAULT_REGION_BOUNDS if bounds is None else bounds
-    a = normalize(azimuth_deg)
-    for name, (lo, hi) in bounds.items():
-        span = (hi - lo) % 360.0
-        if (a - lo) % 360.0 < span:
-            return name
-    raise ValueError(f"region bounds do not cover azimuth {azimuth_deg}")
+    centers = bin_centers(bin_size_deg)
+    which = np.full(centers.size, -1)
+    for k, (lo, hi) in enumerate(bounds.values()):
+        which[(which < 0) & (np.mod(centers - lo, 360.0) < (hi - lo) % 360.0)] = k
+    if np.any(which < 0):
+        raise ValueError(f"region bounds do not cover azimuth {centers[which < 0][0]}")
+    return np.array(list(bounds))[which]
 
 
 def _check_region_bounds(bounds: Mapping[str, tuple[float, float]]) -> None:
@@ -291,17 +293,114 @@ def model_from_trials(path: str | Path, bin_size_deg: int = 12) -> ConfusionMode
     return model
 
 
-def _wrapped_normal_bin_mass(mean_deg: float, sd_deg: float, edges: np.ndarray) -> np.ndarray:
-    """Probability mass of a wrapped normal in each [edges[k], edges[k+1]) bin."""
+# Cephes' normal CDF: ndtr, erf and erfc with their coefficient tables
+# (S. L. Moshier, Cephes Math Library; Methods and Programs for
+# Mathematical Functions, 1989), as compiled into SciPy's BSD-licensed
+# `scipy.special.ndtr`. U, Q and S have an implied leading 1.
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
 
-    # Imported here: scipy.special dominates start-up, and only synthesis needs it.
-    from scipy.special import ndtr
 
+def _polevl(x: np.ndarray, coef: tuple[float, ...], monic: bool = False) -> np.ndarray:
+    """Horner's rule as Cephes' polevl (p1evl when `monic`): each step a
+    multiply, then an add, never fused."""
+
+    ans = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes' erf for |x| <= 1. It is odd, and negating its operands
+    negates every rounding, so one expression serves both signs."""
+
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, equal bit for bit to `scipy.special.ndtr`.
+
+    Follows Cephes' ndtr branch for branch (see the tables above): with
+    x = a/sqrt(2), 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), else 0.5 erfc(|x|),
+    reflected as 1 - y for x > 0. erfc(z) is 1 - erf(z) below 1, then
+    exp(-z^2) P(z)/Q(z) below 8 and exp(-z^2) R(z)/S(z) from 8 up, and 0
+    once -z^2 < -MAXLOG. The exponential is the C library's (`math.exp`,
+    which is what SciPy calls), because NumPy's vectorized exp may round
+    differently. `a` must not hold NaN.
+    """
+
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    erfc = np.zeros_like(z)
+    below = z < 1.0
+    erfc[below] = 1.0 - _erf(z[below])
+    tail = np.flatnonzero(~below & (-z * z >= -_MAXLOG))
+    zt = z[tail]
+    neg_sq = -zt * zt
+    p = np.where(zt < 8.0, _polevl(zt, _ERFC_P), _polevl(zt, _ERFC_R))
+    q = np.where(zt < 8.0, _polevl(zt, _ERFC_Q, monic=True), _polevl(zt, _ERFC_S, monic=True))
+    e = np.fromiter(map(math.exp, neg_sq.tolist()), float, count=zt.size)
+    erfc[tail] = e * p / q
+
+    y = 0.5 * erfc
+    np.subtract(1.0, y, out=y, where=x > 0)
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    return y
+
+
+def _wrapped_normal_bin_mass(bin_size_deg: int, sd_deg: float) -> np.ndarray:
+    """Mass of a wrapped normal with SD `sd_deg` in each bin, by the bin's
+    lower edge minus the mean in half bins, offset by 2n - 1 (n bins).
+
+    Bin edges and the means `synthesize_model` uses (bin centers and their
+    front-back mirrors) are all whole multiples of half a bin, and so is
+    every numerator edge - mean + 360 k. The CDF is evaluated once per
+    half-bin numerator; a bin's mass in one wrap is the CDF at its upper
+    edge minus the CDF at its lower edge, and its total is the sum of those
+    differences over the wraps k = -w, ..., w in that order.
+    """
+
+    turn = 2 * bin_count_for(bin_size_deg)  # half bins in 360 degrees
     wraps = int(np.ceil(6.0 * sd_deg / 360.0)) + 1
-    ks = np.arange(-wraps, wraps + 1)
-    z = (edges[None, :] - mean_deg + 360.0 * ks[:, None]) / sd_deg
-    cdf = ndtr(z)
-    return (cdf[:, 1:] - cdf[:, :-1]).sum(axis=0)
+    # The CDF at every edge - mean + 360 k, lowest first: lower edge - mean
+    # runs from 1 - 2n to 2n - 2 half bins, and the upper edge is two higher.
+    half_bins = np.arange(1 - turn * (wraps + 1), turn * (wraps + 1) + 1)
+    cdf = _ndtr(half_bins * (bin_size_deg / 2) / sd_deg)
+    per_wrap = cdf[2:] - cdf[:-2]
+    width = 2 * turn - 2
+    mass = per_wrap[:width].copy()
+    for k in range(1, 2 * wraps + 1):
+        mass += per_wrap[k * turn : k * turn + width]
+    return mass
 
 
 def synthesize_model(params: SyntheticModelParams) -> ConfusionModel:
@@ -311,21 +410,29 @@ def synthesize_model(params: SyntheticModelParams) -> ConfusionModel:
     wrapped-Gaussian around theta with SD blur_sd_deg[R], except with
     probability flip_prob[R] it forms around mirror_front_back(theta).
     The mixture is integrated over each perceived bin and the row
-    normalized, so the construction is exact and deterministic.
+    normalized, so the construction is exact and deterministic. The rows
+    of a region are built together from one table of bin masses.
     """
 
     n = bin_count_for(params.bin_size_deg)
-    edges = np.arange(n + 1, dtype=float) * params.bin_size_deg
+    # In half bins: the bin centers, their mirrors 180 - center (mod 360),
+    # and the lower bin edges plus the 2n - 1 that offsets the mass table.
+    centers = 2 * np.arange(n) + 1
+    mirrors = (n - centers) % (2 * n)
+    lower_edges = 2 * np.arange(n) + 2 * n - 1
+    by_bin = _regions_by_bin(params.bin_size_deg, params.region_bounds_deg)
     matrix = np.empty((n, n))
-    for t in range(n):
-        theta = bin_center(t, params.bin_size_deg)
-        region = region_of(theta, params.region_bounds_deg)
+    for region in params.region_bounds_deg:
+        rows = np.flatnonzero(by_bin == region)
+        if rows.size == 0:
+            continue
         sd = float(params.blur_sd_deg[region])
         flip = float(params.flip_prob[region])
-        row = (1.0 - flip) * _wrapped_normal_bin_mass(theta, sd, edges)
+        mass = _wrapped_normal_bin_mass(params.bin_size_deg, sd)
+        block = (1.0 - flip) * mass[lower_edges - centers[rows, None]]
         if flip > 0.0:
-            row += flip * _wrapped_normal_bin_mass(mirror_front_back(theta), sd, edges)
-        matrix[t] = row / row.sum()
+            block += flip * mass[lower_edges - mirrors[rows, None]]
+        matrix[rows] = block / block.sum(axis=1, keepdims=True)
     model = ConfusionModel(params.bin_size_deg, matrix, provenance="synthetic")
     model.validate(row_sum_tol=1e-9)
     return model

@@ -70,12 +70,6 @@ class Layout:
 
         return self._azimuths
 
-    def index_of(self, element_id: str) -> int:
-        for i, e in enumerate(self.elements):
-            if e.id == element_id:
-                return i
-        raise KeyError(element_id)
-
     def circular_order(self) -> list[int]:
         """Element indices sorted by ascending visual azimuth from 0 degrees."""
 

@@ -23,6 +23,7 @@ from .confusion import (
     ConfusionModel,
     ModelFormatError,
     _draw,
+    _regions_by_bin,
     sample_bins,
 )
 from .layout import Layout
@@ -38,6 +39,12 @@ def decision_by_bin(layout: Layout, bin_size_deg: int) -> np.ndarray:
 
     centers = bin_centers(bin_size_deg)
     return np.argmin(angular_distance(centers[:, None], layout.visual_azimuths[None, :]), axis=1)
+
+
+def _distances(azimuths: np.ndarray, bin_size_deg: int) -> np.ndarray:
+    """Angular distance from each azimuth (rows) to each bin center (columns)."""
+
+    return angular_distance(azimuths[:, None], bin_centers(bin_size_deg)[None, :])
 
 
 def _bins_in_layout_order(solution: PlacementSolution, layout: Layout) -> np.ndarray:
@@ -87,7 +94,9 @@ def run_simulation(
     azimuth and the target element's visual azimuth.
 
     A trial's outcome depends only on its (target, percept) cell, so no
-    decision, correctness flag or error is kept per trial. Three
+    decision, correctness flag or error is kept per trial. The distances
+    from the visual azimuths to the bin centers are computed once, after
+    the draw, and give both the decisions and the circular errors. Three
     trial-length arrays hold the run: the targets, the uniforms and the
     percepts. The percepts' buffer becomes the cells, whose histogram,
     with each target's percept bins summed per decided element, gives the
@@ -101,7 +110,6 @@ def run_simulation(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n, nb = len(layout.elements), model.bin_count
-    by_element, ends = _decision_groups(layout, model.bin_size_deg)
     rng = np.random.default_rng(seed)
     targets = rng.integers(n, size=trials)
     u = rng.random(trials)
@@ -109,6 +117,9 @@ def run_simulation(
     cell = _draw(model, _bins_in_layout_order(solution, layout), targets, u)
     cell += np.multiply(targets, nb, out=targets)
     del targets  # scaled in place, and its memory goes before the tables below
+    # `decision_by_bin`, from the distances the circular errors use
+    circular = _distances(layout.visual_azimuths, model.bin_size_deg)
+    by_element, ends = _decision_groups(np.argmin(circular, axis=0), n)
 
     # Confusion counts: the histogram of (target, percept) cells with its
     # columns grouped by decided element, summed per group.
@@ -127,7 +138,7 @@ def run_simulation(
     accuracy = float(np.trace(counts) / trials)
 
     # The uniforms are spent; their buffer takes each trial's error in turn.
-    circular, adjusted = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
+    adjusted = _adjusted(circular, layout.visual_azimuths, model.bin_size_deg)
     errors = u
     mean_circular = float(np.take(circular, cell, out=errors, mode="clip").mean())
     mean_adjusted = float(np.take(adjusted, cell, out=errors, mode="clip").mean())
@@ -149,14 +160,13 @@ def run_simulation(
     )
 
 
-def _decision_groups(layout: Layout, bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bins grouped by the element the listener decides for them, and where
-    each element's group ends. The sort is stable, so bins ascend within a
-    group and a sum over it adds the same values in the same order as a
-    boolean mask would."""
+def _decision_groups(decided: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bins grouped by the element of n the listener decides for them
+    (`decided`, per bin), and where each element's group ends. The sort is
+    stable, so bins ascend within a group and a sum over it adds the same
+    values in the same order as a boolean mask would."""
 
-    decided = decision_by_bin(layout, bin_size_deg)
-    ends = np.cumsum(np.bincount(decided, minlength=len(layout.elements)))
+    ends = np.cumsum(np.bincount(decided, minlength=n))
     return np.argsort(decided, kind="stable"), ends
 
 
@@ -169,7 +179,9 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     """
 
     bins = _bins_in_layout_order(solution, layout)
-    by_element, ends = _decision_groups(layout, model.bin_size_deg)
+    by_element, ends = _decision_groups(
+        decision_by_bin(layout, model.bin_size_deg), len(layout.elements)
+    )
     rows = model.matrix[bins[:, None], by_element[None, :]]
     ends = ends.tolist()
     per_element = [float(rows[i, lo:hi].sum()) for i, (lo, hi) in enumerate(zip([0, *ends], ends))]
@@ -189,16 +201,20 @@ class LocalizationStats:
     trials: int
 
 
+def _adjusted(circular: np.ndarray, target_az: np.ndarray, bin_size_deg: int) -> np.ndarray:
+    """Front-back-adjusted errors from the circular ones (`_distances`): the
+    smaller of the distance to each bin center and to its mirror."""
+
+    mirrors = mirror_front_back(bin_centers(bin_size_deg))
+    return np.minimum(circular, angular_distance(target_az[:, None], mirrors[None, :]))
+
+
 def _errors_by_bin(target_az: np.ndarray, bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
     """Circular and front-back-adjusted error of a percept at each bin center
     (columns) from each target azimuth (rows)."""
 
-    centers = bin_centers(bin_size_deg)
-    circular = angular_distance(target_az[:, None], centers[None, :])
-    adjusted = np.minimum(
-        circular, angular_distance(target_az[:, None], mirror_front_back(centers)[None, :])
-    )
-    return circular, adjusted
+    circular = _distances(target_az, bin_size_deg)
+    return circular, _adjusted(circular, target_az, bin_size_deg)
 
 
 def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
@@ -216,24 +232,17 @@ def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
     return true_bins, perceived, circular, adjusted
 
 
-def _regions_by_bin(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
-    """Region of each bin center, as `region_of` names it: the first region
-    in `bounds` order whose arc holds the center. Every center must be
-    covered, and every region must hold one, or it has no statistics."""
+def _regions_with_centers(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
+    """`_regions_by_bin`, for statistics per region: every region must hold
+    a bin center, or it has none."""
 
-    centers = bin_centers(bin_size_deg)
-    names = list(bounds)
-    which = np.full(centers.size, -1)
-    for k, (lo, hi) in enumerate(bounds.values()):
-        which[(which < 0) & (np.mod(centers - lo, 360.0) < (hi - lo) % 360.0)] = k
-    if np.any(which < 0):
-        raise ValueError(f"region bounds do not cover azimuth {centers[which < 0][0]}")
-    for k, name in enumerate(names):
-        if not np.any(which == k):
+    by_bin = _regions_by_bin(bin_size_deg, bounds)
+    for name in bounds:
+        if not np.any(by_bin == name):
             raise ModelFormatError(
                 f"no bin center of a {bin_size_deg}-degree model lies in region {name!r}"
             )
-    return np.array(names)[which]
+    return by_bin
 
 
 def table1_statistics(
@@ -254,7 +263,7 @@ def table1_statistics(
 
     bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
     true_bins, _, circular, adjusted = _error_samples(model, trials_per_bin, seed)
-    by_bin = _regions_by_bin(model.bin_size_deg, bounds)
+    by_bin = _regions_with_centers(model.bin_size_deg, bounds)
     for name in bounds:
         if trials_per_bin * np.count_nonzero(by_bin == name) < 2:
             raise ValueError(
@@ -298,7 +307,7 @@ def expected_localization_errors(
     circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
     e_circ = (model.matrix * circ_by_bin).sum(axis=1)
     e_adj = (model.matrix * adj_by_bin).sum(axis=1)
-    regions = _regions_by_bin(model.bin_size_deg, bounds)
+    regions = _regions_with_centers(model.bin_size_deg, bounds)
 
     out: dict[str, dict[str, float]] = {}
     for name in (*bounds, "all"):

@@ -7,7 +7,9 @@ the arithmetic per element is the same, only the looping moved into NumPy.
 `brute_force_solve` enumerates every feasible assignment as an independent
 check on the solver's dynamic program, and `extract_lex_min` is the
 full-width backward pass with a forward greedy that the solver's keyed
-band extraction replaced.
+band extraction replaced. `synthesize_model_scipy` builds a model one row
+at a time on `scipy.special.ndtr`, which it imports when called; SciPy is
+needed by the tests only.
 """
 
 from __future__ import annotations
@@ -22,8 +24,16 @@ from typing import Mapping
 import numpy as np
 
 import cueplace as cp
-from cueplace.angles import angular_distance, bin_center, bin_centers, bin_of, normalize
-from cueplace.confusion import DEFAULT_REGION_BOUNDS, region_of, sample_bins
+from cueplace.angles import (
+    angular_distance,
+    bin_center,
+    bin_centers,
+    bin_count_for,
+    bin_of,
+    mirror_front_back,
+    normalize,
+)
+from cueplace.confusion import DEFAULT_REGION_BOUNDS, sample_bins
 from cueplace.placement import (
     INFEASIBLE_THRESHOLD,
     MASKED,
@@ -37,6 +47,51 @@ from cueplace.simulate import _errors_by_bin
 
 BRUTE_FORCE_MAX_ELEMENTS = 5
 BRUTE_FORCE_MAX_BINS = 36
+
+
+def region_of(azimuth_deg: float, bounds: Mapping[str, tuple[float, float]] | None = None) -> str:
+    """Name of the region whose arc contains the azimuth."""
+
+    bounds = DEFAULT_REGION_BOUNDS if bounds is None else bounds
+    a = normalize(azimuth_deg)
+    for name, (lo, hi) in bounds.items():
+        span = (hi - lo) % 360.0
+        if (a - lo) % 360.0 < span:
+            return name
+    raise ValueError(f"region bounds do not cover azimuth {azimuth_deg}")
+
+
+def wrapped_normal_bin_mass(mean_deg: float, sd_deg: float, edges: np.ndarray) -> np.ndarray:
+    """Probability mass of a wrapped normal in each [edges[k], edges[k+1]) bin."""
+
+    from scipy.special import ndtr
+
+    wraps = int(np.ceil(6.0 * sd_deg / 360.0)) + 1
+    ks = np.arange(-wraps, wraps + 1)
+    z = (edges[None, :] - mean_deg + 360.0 * ks[:, None]) / sd_deg
+    cdf = ndtr(z)
+    return (cdf[:, 1:] - cdf[:, :-1]).sum(axis=0)
+
+
+def synthesize_model_scipy(params: cp.SyntheticModelParams) -> cp.ConfusionModel:
+    """`synthesize_model` one row at a time, with `region_of` per bin center
+    and `scipy.special.ndtr`."""
+
+    n = bin_count_for(params.bin_size_deg)
+    edges = np.arange(n + 1, dtype=float) * params.bin_size_deg
+    matrix = np.empty((n, n))
+    for t in range(n):
+        theta = bin_center(t, params.bin_size_deg)
+        region = region_of(theta, params.region_bounds_deg)
+        sd = float(params.blur_sd_deg[region])
+        flip = float(params.flip_prob[region])
+        row = (1.0 - flip) * wrapped_normal_bin_mass(theta, sd, edges)
+        if flip > 0.0:
+            row += flip * wrapped_normal_bin_mass(mirror_front_back(theta), sd, edges)
+        matrix[t] = row / row.sum()
+    model = cp.ConfusionModel(params.bin_size_deg, matrix, provenance="synthetic")
+    model.validate(row_sum_tol=1e-9)
+    return model
 
 
 def cone_set(a: float) -> set[float]:

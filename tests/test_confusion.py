@@ -1,13 +1,31 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.stats import norm
 
 import cueplace as cp
-from cueplace.confusion import LOCALIZATION_ERROR_TARGETS, ModelFormatError, _wrapped_normal_bin_mass
-from tests.oracles import gather_sample_rows, trial_counts
+from cueplace.confusion import (
+    LOCALIZATION_ERROR_TARGETS,
+    ModelFormatError,
+    _ndtr,
+    _wrapped_normal_bin_mass,
+)
+from tests.oracles import gather_sample_rows, region_of, synthesize_model_scipy, trial_counts
+
+DIVISORS = [d for d in range(1, 361) if 360 % d == 0]
+
+
+@pytest.fixture(scope="module")
+def scipy_special():
+    return pytest.importorskip("scipy.special")
+
+
+def saved_bytes(model, directory) -> bytes:
+    path = directory / "model.csv"
+    cp.save_model(model, path)
+    return path.read_bytes()
 
 
 def small_model(rows, bin_size=120):
@@ -91,11 +109,43 @@ class TestConstructorInvariants:
         assert (exc.value.row, exc.value.column) == (1, 2)
 
 
+class TestNdtr:
+    def test_equals_scipy_bit_for_bit(self, scipy_special):
+        rng = np.random.default_rng(20240818)
+        # With x = a / sqrt(2), the branches change at |x| = 1/sqrt(2), at
+        # erfc's 1 and 8, and where -x^2 < -MAXLOG makes erfc underflow,
+        # that is at |a| = 1, sqrt(2), 8 sqrt(2) and sqrt(2 MAXLOG) ~ 37.68.
+        edges = [0.0, math.sqrt(0.5), 1.0, math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0), 37.68, 40.0]
+        edges.append(math.sqrt(2.0 * 7.09782712893383996843e2))
+        special = [
+            v
+            for e in edges
+            for sign in (1.0, -1.0)
+            for v in (sign * e, np.nextafter(sign * e, np.inf), np.nextafter(sign * e, -np.inf))
+        ]
+        a = np.concatenate(
+            [
+                rng.normal(0.0, 1.0, 400_000),
+                rng.normal(0.0, 12.0, 300_000),
+                rng.uniform(-45.0, 45.0, 300_000),
+                rng.uniform(-3.0, 3.0, 100_000),
+                [-0.0, np.inf, -np.inf],
+                special,
+            ]
+        )
+        got, want = _ndtr(a), scipy_special.ndtr(a)
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, a[differ[:10]]
+
+
 class TestWrappedNormalMass:
     @pytest.mark.parametrize("mean,sd", [(6.0, 10.0), (174.0, 34.8), (354.0, 80.0)])
     def test_matches_numerical_integration(self, mean, sd):
+        quad = pytest.importorskip("scipy.integrate").quad
+        norm = pytest.importorskip("scipy.stats").norm
         edges = np.arange(31, dtype=float) * 12.0
-        mass = _wrapped_normal_bin_mass(mean, sd, edges)
+        # indexed by lower edge - mean in 6-degree half bins, plus 59
+        mass = _wrapped_normal_bin_mass(12, sd)[2 * np.arange(30) + 59 - round(mean / 6.0)]
 
         def density(x):
             ks = np.arange(-8, 9)
@@ -143,6 +193,50 @@ class TestSynthesize:
             flip_prob={r: flip for r in cp.REGIONS},
         )
         cp.synthesize_model(params).validate(row_sum_tol=1e-9)
+
+    @pytest.mark.parametrize("bin_size", DIVISORS)
+    def test_calibrated_bytes_match_scipy_oracle(self, scipy_special, tmp_path, bin_size):
+        params = cp.calibrated_params(bin_size)
+        assert saved_bytes(cp.synthesize_model(params), tmp_path) == saved_bytes(
+            synthesize_model_scipy(params), tmp_path
+        )
+
+    SD = st.floats(min_value=0.5, max_value=400.0)
+    FLIP = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+    # four cut points tiling the circle, often on half degrees, where bin
+    # centers and edges lie
+    CUTS = st.lists(
+        st.one_of(st.integers(-360, 359).map(lambda k: k * 0.5), st.floats(-180.0, 179.9)),
+        min_size=4,
+        max_size=4,
+        unique=True,
+    ).filter(lambda c: min(np.diff(sorted(c))) > 1e-6)
+
+    @given(
+        bin_size=st.sampled_from(DIVISORS),
+        sd=st.tuples(SD, SD, SD, SD),
+        flip=st.tuples(FLIP, FLIP, FLIP, FLIP),
+        cuts=st.one_of(st.none(), CUTS),
+    )
+    @example(bin_size=1, sd=(0.5, 0.5, 400.0, 400.0), flip=(0.0, 1.0, 0.3, 1.0), cuts=None)
+    @example(bin_size=360, sd=(400.0,) * 4, flip=(0.5,) * 4, cuts=None)
+    @example(bin_size=120, sd=(0.5, 3.0, 0.5, 150.0), flip=(1.0, 0.0, 0.5, 1.0), cuts=[-60.0, -59.5, 60.0, 180.0])
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_bytes_match_scipy_oracle(self, scipy_special, tmp_path_factory, bin_size, sd, flip, cuts):
+        bounds = dict(cp.DEFAULT_REGION_BOUNDS)
+        if cuts is not None:
+            c = sorted(cuts)
+            bounds = {r: (c[k], c[(k + 1) % 4]) for k, r in enumerate(cp.REGIONS)}
+        params = cp.SyntheticModelParams(
+            blur_sd_deg=dict(zip(cp.REGIONS, sd)),
+            flip_prob=dict(zip(cp.REGIONS, flip)),
+            region_bounds_deg=bounds,
+            bin_size_deg=bin_size,
+        )
+        tmp = tmp_path_factory.mktemp("synth")
+        assert saved_bytes(cp.synthesize_model(params), tmp) == saved_bytes(
+            synthesize_model_scipy(params), tmp
+        )
 
 
 class TestParams:
@@ -366,7 +460,7 @@ class TestRegions:
         ],
     )
     def test_boundaries(self, azimuth, region):
-        assert cp.region_of(azimuth) == region
+        assert region_of(azimuth) == region
 
     def test_targets_are_internally_consistent(self):
         for t in LOCALIZATION_ERROR_TARGETS.values():

@@ -18,9 +18,6 @@ class TestConstruction:
     def test_preserves_input_order_and_ids(self):
         lay = cp.Layout((cp.Element("b", 10.0), cp.Element("a", 5.0)))
         assert lay.ids == ["b", "a"]
-        assert lay.index_of("a") == 1
-        with pytest.raises(KeyError):
-            lay.index_of("zz")
 
     def test_rejects_empty(self):
         with pytest.raises(LayoutError):

@@ -15,15 +15,16 @@ from cueplace.confusion import (
     DEFAULT_REGION_BOUNDS,
     ModelFormatError,
     _guide_cells,
-    region_of,
+    _regions_by_bin,
     sample_bins,
 )
-from cueplace.simulate import _regions_by_bin, expected_accuracy
+from cueplace.simulate import _regions_with_centers, expected_accuracy
 from tests.conftest import random_layout
 from tests.oracles import (
     expected_accuracy_per_element,
     gather_sample_rows,
     nearest_element_decision,
+    region_of,
     run_simulation_per_trial,
     table1_per_trial,
 )
@@ -432,13 +433,16 @@ class TestRegionsByBin:
         bounds = {f"r{i}": arc for i, arc in enumerate(arcs)}
         expected = self.per_center(bin_size, bounds)
         if isinstance(expected, str):  # a center no arc covers
-            with pytest.raises(ValueError, match=re.escape(expected)):
-                _regions_by_bin(bin_size, bounds)
-        elif set(expected) != set(bounds):
+            for lookup in (_regions_by_bin, _regions_with_centers):
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    lookup(bin_size, bounds)
+            return
+        assert _regions_by_bin(bin_size, bounds).tolist() == expected
+        if set(expected) != set(bounds):  # a region holding no center
             with pytest.raises(ModelFormatError):
-                _regions_by_bin(bin_size, bounds)
+                _regions_with_centers(bin_size, bounds)
         else:
-            assert _regions_by_bin(bin_size, bounds).tolist() == expected
+            assert _regions_with_centers(bin_size, bounds).tolist() == expected
 
     @pytest.mark.parametrize("bin_size", [d for d in range(1, 61) if 360 % d == 0])
     def test_default_bounds(self, bin_size):
