@@ -15,6 +15,7 @@ is written (solve timing goes to stderr instead).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -223,18 +224,7 @@ def _cmd_table1(args) -> int:
     out = {
         "trials_per_bin": args.trials_per_bin,
         "seed": args.seed,
-        "regions": {
-            name: {
-                "circular_mean": s.circular_mean,
-                "circular_sd": s.circular_sd,
-                "adjusted_mean": s.adjusted_mean,
-                "adjusted_sd": s.adjusted_sd,
-                "cone_effect_mean": s.cone_effect_mean,
-                "cone_effect_sd": s.cone_effect_sd,
-                "trials": s.trials,
-            }
-            for name, s in stats.items()
-        },
+        "regions": {name: dataclasses.asdict(s) for name, s in stats.items()},
     }
     _emit_json(out, args.out)
     return EXIT_OK

@@ -41,12 +41,6 @@ def decision_by_bin(layout: Layout, bin_size_deg: int) -> np.ndarray:
     return np.argmin(angular_distance(centers[:, None], layout.visual_azimuths[None, :]), axis=1)
 
 
-def _distances(azimuths: np.ndarray, bin_size_deg: int) -> np.ndarray:
-    """Angular distance from each azimuth (rows) to each bin center (columns)."""
-
-    return angular_distance(azimuths[:, None], bin_centers(bin_size_deg)[None, :])
-
-
 def _bins_in_layout_order(solution: PlacementSolution, layout: Layout) -> np.ndarray:
     """Sound bin of each layout element, in layout order."""
 
@@ -94,17 +88,17 @@ def run_simulation(
     azimuth and the target element's visual azimuth.
 
     A trial's outcome depends only on its (target, percept) cell, so no
-    decision, correctness flag or error is kept per trial. The distances
-    from the visual azimuths to the bin centers are computed once, after
-    the draw, and give both the decisions and the circular errors. Three
-    trial-length arrays hold the run: the targets, the uniforms and the
-    percepts. The percepts' buffer becomes the cells, whose histogram,
-    with each target's percept bins summed per decided element, gives the
-    confusion counts. The uniforms' buffer, spent once the percepts are
-    drawn, takes each trial's circular, adjusted and cone-effect error in
-    turn for the three means. A fresh array of this size is often new
-    memory from the operating system and costs a page fault per 4 KB page,
-    so the run allocates as few as it can.
+    decision, correctness flag or error is kept per trial. The error
+    tables per (element, percept bin) are computed once, after the draw,
+    and the circular one also gives the decisions. Three trial-length
+    arrays hold the run: the targets, the uniforms and the percepts. The
+    percepts' buffer becomes the cells, whose histogram, with each
+    percept bin's column added to the column of the element it decides,
+    gives the confusion counts. The uniforms' buffer, spent once the
+    percepts are drawn, takes each trial's circular, adjusted and
+    cone-effect error in turn for the three means. A fresh array of this
+    size is often new memory from the operating system and costs a page
+    fault per 4 KB page, so the run allocates as few as it can.
     """
 
     if trials < 1:
@@ -117,18 +111,13 @@ def run_simulation(
     cell = _draw(model, _bins_in_layout_order(solution, layout), targets, u)
     cell += np.multiply(targets, nb, out=targets)
     del targets  # scaled in place, and its memory goes before the tables below
-    # `decision_by_bin`, from the distances the circular errors use
-    circular = _distances(layout.visual_azimuths, model.bin_size_deg)
-    by_element, ends = _decision_groups(np.argmin(circular, axis=0), n)
+    circular, adjusted = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
+    decided = np.argmin(circular, axis=0)  # `decision_by_bin`
 
-    # Confusion counts: the histogram of (target, percept) cells with its
-    # columns grouped by decided element, summed per group.
-    grouped = np.bincount(cell, minlength=n * nb).reshape(n, nb).take(by_element, axis=1)
-    sizes = np.diff(ends, prepend=0)
-    held = sizes > 0
+    # Confusion counts: each percept bin's column of the (target, percept)
+    # histogram added to its decided element's column, in exact integers.
     counts = np.zeros((n, n), dtype=np.intp)
-    counts[:, held] = np.add.reduceat(grouped, (ends - sizes)[held], axis=1)
-    del grouped
+    np.add.at(counts.T, decided, np.bincount(cell, minlength=n * nb).reshape(n, nb).T)
     counts.flags.writeable = False
     per_trials = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
@@ -138,7 +127,6 @@ def run_simulation(
     accuracy = float(np.trace(counts) / trials)
 
     # The uniforms are spent; their buffer takes each trial's error in turn.
-    adjusted = _adjusted(circular, layout.visual_azimuths, model.bin_size_deg)
     errors = u
     mean_circular = float(np.take(circular, cell, out=errors, mode="clip").mean())
     mean_adjusted = float(np.take(adjusted, cell, out=errors, mode="clip").mean())
@@ -160,16 +148,6 @@ def run_simulation(
     )
 
 
-def _decision_groups(decided: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bins grouped by the element of n the listener decides for them
-    (`decided`, per bin), and where each element's group ends. The sort is
-    stable, so bins ascend within a group and a sum over it adds the same
-    values in the same order as a boolean mask would."""
-
-    ends = np.cumsum(np.bincount(decided, minlength=n))
-    return np.argsort(decided, kind="stable"), ends
-
-
 def expected_accuracy(solution: PlacementSolution, layout: Layout, model: ConfusionModel) -> float:
     """Exact identification accuracy of a placement, no sampling.
 
@@ -179,11 +157,12 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     """
 
     bins = _bins_in_layout_order(solution, layout)
-    by_element, ends = _decision_groups(
-        decision_by_bin(layout, model.bin_size_deg), len(layout.elements)
-    )
+    # Bins grouped by decided element: the sort is stable, so bins ascend
+    # within a group and its sum adds the values in the order a mask would.
+    decided = decision_by_bin(layout, model.bin_size_deg)
+    by_element = np.argsort(decided, kind="stable")
+    ends = np.cumsum(np.bincount(decided, minlength=len(layout.elements))).tolist()
     rows = model.matrix[bins[:, None], by_element[None, :]]
-    ends = ends.tolist()
     per_element = [float(rows[i, lo:hi].sum()) for i, (lo, hi) in enumerate(zip([0, *ends], ends))]
     return float(np.mean(per_element))
 
@@ -201,35 +180,25 @@ class LocalizationStats:
     trials: int
 
 
-def _adjusted(circular: np.ndarray, target_az: np.ndarray, bin_size_deg: int) -> np.ndarray:
-    """Front-back-adjusted errors from the circular ones (`_distances`): the
-    smaller of the distance to each bin center and to its mirror."""
-
-    mirrors = mirror_front_back(bin_centers(bin_size_deg))
-    return np.minimum(circular, angular_distance(target_az[:, None], mirrors[None, :]))
-
-
 def _errors_by_bin(target_az: np.ndarray, bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
     """Circular and front-back-adjusted error of a percept at each bin center
-    (columns) from each target azimuth (rows)."""
+    (columns) from each target azimuth (rows): the distance to the center,
+    and the smaller of that and the distance to the center's mirror."""
 
-    circular = _distances(target_az, bin_size_deg)
-    return circular, _adjusted(circular, target_az, bin_size_deg)
+    centers = bin_centers(bin_size_deg)
+    circular = angular_distance(target_az[:, None], centers[None, :])
+    mirrored = angular_distance(target_az[:, None], mirror_front_back(centers)[None, :])
+    return circular, np.minimum(circular, mirrored, out=mirrored)
 
 
-def _error_samples(model: ConfusionModel, trials_per_bin: int, seed: int):
+def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int):
+    """True and perceived bin of `trials_per_bin` trials per true bin."""
+
     if trials_per_bin < 1:
         raise ValueError(f"trials_per_bin must be >= 1, got {trials_per_bin}")
-    n = model.bin_count
-    true_bins = np.repeat(np.arange(n), trials_per_bin)
+    true_bins = np.repeat(np.arange(model.bin_count), trials_per_bin)
     rng = np.random.default_rng(seed)
-    perceived = sample_bins(model, true_bins, rng.random(true_bins.size))
-    centers = bin_centers(model.bin_size_deg)
-    circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)
-    cell = true_bins * n + perceived
-    circular = circ_by_bin.take(cell)
-    adjusted = adj_by_bin.take(cell)
-    return true_bins, perceived, circular, adjusted
+    return true_bins, sample_bins(model, true_bins, rng.random(true_bins.size))
 
 
 def _regions_with_centers(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
@@ -246,12 +215,9 @@ def _regions_with_centers(bin_size_deg: int, bounds: Mapping[str, tuple[float, f
 
 
 def table1_statistics(
-    model: ConfusionModel,
-    trials_per_bin: int = 200,
-    seed: int = 0,
-    region_bounds: Mapping[str, tuple[float, float]] | None = None,
+    model: ConfusionModel, trials_per_bin: int = 200, seed: int = 0
 ) -> dict[str, LocalizationStats]:
-    """Simulated per-region localization errors, keyed by region plus "all".
+    """Simulated localization errors per `DEFAULT_REGION_BOUNDS` region, plus "all".
 
     Every true bin gets `trials_per_bin` trials; the cue plays from the bin
     center and the percept is the sampled bin's center. Circular error is
@@ -261,19 +227,22 @@ def table1_statistics(
     at least 2 trials.
     """
 
-    bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
-    true_bins, _, circular, adjusted = _error_samples(model, trials_per_bin, seed)
-    by_bin = _regions_with_centers(model.bin_size_deg, bounds)
-    for name in bounds:
+    true_bins, perceived = _trials_by_bin(model, trials_per_bin, seed)
+    by_bin = _regions_with_centers(model.bin_size_deg, DEFAULT_REGION_BOUNDS)
+    for name in DEFAULT_REGION_BOUNDS:
         if trials_per_bin * np.count_nonzero(by_bin == name) < 2:
             raise ValueError(
                 f"region {name!r} holds one bin, so {trials_per_bin} trial per bin leaves "
                 "its SDs undefined; trials_per_bin must be >= 2"
             )
+    centers = bin_centers(model.bin_size_deg)
+    circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
+    cell = true_bins * model.bin_count + perceived
+    circular, adjusted = circ_by_bin.take(cell), adj_by_bin.take(cell)
     cone = circular - adjusted
 
     out: dict[str, LocalizationStats] = {}
-    for name in (*bounds, "all"):
+    for name in (*DEFAULT_REGION_BOUNDS, "all"):
         if name == "all":
             c, a, k = circular, adjusted, cone
         else:
@@ -291,10 +260,7 @@ def table1_statistics(
     return out
 
 
-def expected_localization_errors(
-    model: ConfusionModel,
-    region_bounds: Mapping[str, tuple[float, float]] | None = None,
-) -> dict[str, dict[str, float]]:
+def expected_localization_errors(model: ConfusionModel) -> dict[str, dict[str, float]]:
     """Exact expectations of the `table1_statistics` means, no sampling.
 
     Bins weigh equally within a region, matching the per-bin trial budget of
@@ -302,15 +268,14 @@ def expected_localization_errors(
     Every region needs a bin center.
     """
 
-    bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
     centers = bin_centers(model.bin_size_deg)
     circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
     e_circ = (model.matrix * circ_by_bin).sum(axis=1)
     e_adj = (model.matrix * adj_by_bin).sum(axis=1)
-    regions = _regions_with_centers(model.bin_size_deg, bounds)
+    regions = _regions_with_centers(model.bin_size_deg, DEFAULT_REGION_BOUNDS)
 
     out: dict[str, dict[str, float]] = {}
-    for name in (*bounds, "all"):
+    for name in (*DEFAULT_REGION_BOUNDS, "all"):
         m = regions == name if name != "all" else np.ones_like(e_circ, dtype=bool)
         circ, adj = float(e_circ[m].mean()), float(e_adj[m].mean())
         out[name] = {"circular": circ, "adjusted": adj, "cone_effect": circ - adj}
@@ -326,7 +291,7 @@ def dump_trials(
     `model_from_trials` on the output reconstructs an estimate of the model.
     """
 
-    true_bins, perceived, _, _ = _error_samples(model, trials_per_bin, seed)
+    true_bins, perceived = _trials_by_bin(model, trials_per_bin, seed)
     centers = bin_centers(model.bin_size_deg)
     true_az, perceived_az = centers[true_bins], centers[perceived]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:

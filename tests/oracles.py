@@ -43,7 +43,6 @@ from cueplace.placement import (
     _raise_infeasible,
 )
 from cueplace.scoring import MAX_CONE_DISTANCE_DEG
-from cueplace.simulate import _errors_by_bin
 
 BRUTE_FORCE_MAX_ELEMENTS = 5
 BRUTE_FORCE_MAX_BINS = 36
@@ -202,10 +201,10 @@ def run_simulation_per_trial(
     correct = decided == targets
     accuracy = float(correct.mean())
 
-    circ_by_bin, adj_by_bin = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
-    cell = targets * model.bin_count + perceived
-    circular = circ_by_bin.take(cell)
-    adjusted = adj_by_bin.take(cell)
+    target_az = layout.visual_azimuths[targets]
+    perceived_az = bin_centers(model.bin_size_deg)[perceived]
+    circular = angular_distance(target_az, perceived_az)
+    adjusted = np.minimum(circular, angular_distance(target_az, mirror_front_back(perceived_az)))
 
     counts = np.bincount(targets * n + decided, minlength=n * n).reshape(n, n)
     counts.flags.writeable = False
@@ -229,14 +228,10 @@ def run_simulation_per_trial(
 
 
 def table1_per_trial(
-    model: cp.ConfusionModel,
-    trials_per_bin: int,
-    seed: int,
-    region_bounds: Mapping[str, tuple[float, float]] | None = None,
+    model: cp.ConfusionModel, trials_per_bin: int, seed: int
 ) -> dict[str, cp.LocalizationStats]:
     """`table1_statistics` with the gather sampler and one `region_of` per trial."""
 
-    bounds = DEFAULT_REGION_BOUNDS if region_bounds is None else region_bounds
     true_bins = np.repeat(np.arange(model.bin_count), trials_per_bin)
     rng = np.random.default_rng(seed)
     perceived = gather_sample_rows(model.matrix, true_bins, rng.random(true_bins.size))
@@ -244,10 +239,10 @@ def table1_per_trial(
     true_az, perceived_az = centers[true_bins], centers[perceived]
     circular = angular_distance(perceived_az, true_az)
     adjusted = np.minimum(circular, angular_distance(cp.mirror_front_back(perceived_az), true_az))
-    regions = np.array([region_of(a, bounds) for a in true_az])
+    regions = np.array([region_of(a) for a in true_az])
     cone = circular - adjusted
     out = {}
-    for name in (*bounds, "all"):
+    for name in (*DEFAULT_REGION_BOUNDS, "all"):
         m = regions == name if name != "all" else np.ones_like(circular, dtype=bool)
         out[name] = cp.LocalizationStats(
             circular_mean=float(circular[m].mean()),

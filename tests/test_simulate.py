@@ -304,17 +304,39 @@ class TestRunSimulation:
         colocated=st.booleans(),
         kind=st.sampled_from(["identity", "calibrated"]),
         seed=st.integers(0, 2**32 - 1),
+        # Colliding and mirrored azimuths (instead of `shape`'s n drawn ones)
+        # give elements that decide no bin, whose confusion columns stay 0.
+        azimuths=st.none()
+        | st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 6.0, 90.0, 174.0, 180.0, 186.0, 354.0]),
+                st.floats(0.0, 360.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
     )
-    @example(shape=(300, 1), trials=50_000, colocated=True, kind="calibrated", seed=0)
-    @example(shape=(300, 1), trials=4097, colocated=False, kind="identity", seed=1)
-    @example(shape=(100, 3), trials=50_000, colocated=False, kind="calibrated", seed=2)
-    @example(shape=(12, 12), trials=1, colocated=True, kind="calibrated", seed=3)
-    @settings(max_examples=80)
-    def test_matches_per_trial_oracle(self, shape, trials, colocated, kind, seed):
+    @example(shape=(300, 1), trials=50_000, colocated=True, kind="calibrated", seed=0, azimuths=None)
+    @example(shape=(300, 1), trials=4097, colocated=False, kind="identity", seed=1, azimuths=None)
+    @example(shape=(100, 3), trials=50_000, colocated=False, kind="calibrated", seed=2, azimuths=None)
+    @example(shape=(12, 12), trials=1, colocated=True, kind="calibrated", seed=3, azimuths=None)
+    @example(
+        shape=(1, 12),
+        trials=4097,
+        colocated=False,
+        kind="calibrated",
+        seed=4,
+        azimuths=[6.0, 6.0, 174.0, 186.0, 90.0],
+    )
+    @settings(max_examples=120)
+    def test_matches_per_trial_oracle(self, shape, trials, colocated, kind, seed, azimuths):
         # the colocated baseline repeats a bin when two elements share one
         n, bin_size = shape
         model = model_of(kind, bin_size)
-        layout = random_layout(np.random.default_rng(seed), n)
+        if azimuths is None:
+            layout = random_layout(np.random.default_rng(seed), n)
+        else:
+            layout = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
         scores = cp.build_score_matrix(model, layout)
         solution = cp.colocated_solution(scores) if colocated else cp.solve(scores)
         assert_same_report(
