@@ -11,23 +11,29 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .angles import bin_centers, bin_count_for, bin_of, normalize
+from .angles import bin_centers, bin_count_for, bin_of
 
-REGIONS = ("front", "right", "back", "left")
-
-# Half-open [lo, hi) arcs around the listener, ascending from front's lower edge.
+# Half-open [lo, hi) arcs around the listener, ascending from front's lower
+# edge. They tile the circle, so every azimuth lies in exactly one.
 DEFAULT_REGION_BOUNDS: dict[str, tuple[float, float]] = {
     "front": (-36.0, 36.0),
     "right": (36.0, 144.0),
     "back": (144.0, 216.0),
     "left": (216.0, 324.0),
 }
+REGIONS = tuple(DEFAULT_REGION_BOUNDS)
+
+# Largest accepted blur SD. From 720 degrees up every synthesized row is
+# uniform up to rounding (within 1.2e-11 of 1/B), while the wraps synthesis
+# sums grow with the SD: 1e6 degrees took 10 s and 2.5 GB at 1-degree bins.
+MAX_BLUR_SD_DEG = 3600.0
 
 # Measured localization-error summary (degrees) used to calibrate the
 # synthetic listener: per-region mean circular error, mean adjusted error
@@ -52,32 +58,14 @@ class ModelFormatError(ValueError):
         self.column = column
 
 
-def _regions_by_bin(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
-    """Name of the region holding each bin center: the first region in
-    `bounds` order whose half-open arc [lo, hi) holds it. Every center must
-    be covered; a region may hold none."""
+def _regions_by_bin(bin_size_deg: int) -> np.ndarray:
+    """Name of the region whose arc holds each bin center."""
 
     centers = bin_centers(bin_size_deg)
-    which = np.full(centers.size, -1)
-    for k, (lo, hi) in enumerate(bounds.values()):
-        which[(which < 0) & (np.mod(centers - lo, 360.0) < (hi - lo) % 360.0)] = k
-    if np.any(which < 0):
-        raise ValueError(f"region bounds do not cover azimuth {centers[which < 0][0]}")
-    return np.array(list(bounds))[which]
-
-
-def _check_region_bounds(bounds: Mapping[str, tuple[float, float]]) -> None:
-    if set(bounds) != set(REGIONS):
-        raise ModelFormatError(f"region bounds must name exactly {REGIONS}, got {sorted(bounds)}")
-    spans = {name: (hi - lo) % 360.0 for name, (lo, hi) in bounds.items()}
-    if any(s == 0.0 for s in spans.values()) or abs(sum(spans.values()) - 360.0) > 1e-9:
-        raise ModelFormatError("region arcs must have positive length and tile the circle")
-    # arcs must chain end-to-start with no gaps or overlaps
-    arcs = sorted(((normalize(lo), name) for name, (lo, _) in bounds.items()))
-    for (lo, name), (next_lo, _) in zip(arcs, arcs[1:] + arcs[:1]):
-        hi = normalize(bounds[name][1])
-        if abs((hi - next_lo) % 360.0) > 1e-9:
-            raise ModelFormatError("region arcs must partition the circle without gaps or overlaps")
+    which = np.empty(centers.size, dtype=int)
+    for k, (lo, hi) in enumerate(DEFAULT_REGION_BOUNDS.values()):
+        which[np.mod(centers - lo, 360.0) < (hi - lo) % 360.0] = k
+    return np.array(REGIONS)[which]
 
 
 @dataclass(frozen=True)
@@ -86,46 +74,54 @@ class SyntheticModelParams:
 
     Per region: `blur_sd_deg` is the wrapped-Gaussian localization blur and
     `flip_prob` the probability that the percept forms around the front-back
-    mirror of the true angle instead of the true angle itself. The
-    construction is closed-form, so no seed is involved.
+    mirror of the true angle instead of the true angle itself. Both map
+    exactly the `REGIONS` to numbers. The construction is closed-form, so no
+    seed is involved.
     """
 
     blur_sd_deg: Mapping[str, float]
     flip_prob: Mapping[str, float]
-    region_bounds_deg: Mapping[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_REGION_BOUNDS)
-    )
     bin_size_deg: int = 12
 
     def __post_init__(self):
-        _check_region_bounds(self.region_bounds_deg)
-        for name in REGIONS:
-            sd = self.blur_sd_deg.get(name)
-            if sd is None or not np.isfinite(sd) or sd <= 0:
-                raise ModelFormatError(f"blur_sd_deg[{name!r}] must be finite and > 0, got {sd!r}")
-            p = self.flip_prob.get(name)
-            if p is None or not 0.0 <= p <= 1.0:
-                raise ModelFormatError(f"flip_prob[{name!r}] must be in [0, 1], got {p!r}")
+        for key, ok, bounds in (
+            ("blur_sd_deg", lambda sd: 0.0 < sd <= MAX_BLUR_SD_DEG, f"in (0, {MAX_BLUR_SD_DEG:g}]"),
+            ("flip_prob", lambda p: 0.0 <= p <= 1.0, "in [0, 1]"),
+        ):
+            values = getattr(self, key)
+            if not isinstance(values, Mapping) or set(values) != set(REGIONS):
+                raise ModelFormatError(f"{key} must map exactly {list(REGIONS)}, got {values!r}")
+            for name in REGIONS:
+                v = values[name]
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(v):
+                    raise ModelFormatError(f"{key}[{name!r}] must be a number {bounds}, got {v!r}")
+        size = self.bin_size_deg
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            raise ModelFormatError(f"bin_size_deg must be an integer, got {size!r}")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SyntheticModelParams":
-        known = {"blur_sd_deg", "flip_prob", "region_bounds_deg", "bin_size_deg"}
-        # earlier versions wrote an unused "seed"; such files still load
-        kwargs = {k: v for k, v in d.items() if k != "seed"}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ModelFormatError(f"unknown synthetic-parameter fields: {sorted(unknown)}")
-        if "region_bounds_deg" in kwargs:
-            kwargs["region_bounds_deg"] = {
-                k: (float(lo), float(hi)) for k, (lo, hi) in kwargs["region_bounds_deg"].items()
-            }
+        if not isinstance(d, Mapping):
+            raise ModelFormatError(f"synthetic parameters must be an object, got {d!r}")
+        # Earlier versions wrote an unused "seed" and the region arcs, which
+        # are now fixed: such files still load if their arcs are the fixed ones.
+        arcs = d.get("region_bounds_deg", DEFAULT_REGION_BOUNDS)
+        if not isinstance(arcs, Mapping) or DEFAULT_REGION_BOUNDS != {
+            k: tuple(v) if isinstance(v, list) else v for k, v in arcs.items()
+        }:
+            raise ModelFormatError(f"region_bounds_deg must be {DEFAULT_REGION_BOUNDS}, got {arcs!r}")
+        kwargs = {k: v for k, v in d.items() if k not in ("seed", "region_bounds_deg")}
+        required = {"blur_sd_deg", "flip_prob"}
+        if not required <= set(kwargs) <= required | {"bin_size_deg"}:
+            raise ModelFormatError(
+                f"need blur_sd_deg and flip_prob, optionally bin_size_deg; got {sorted(kwargs)}"
+            )
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
         return {
             "blur_sd_deg": {k: float(v) for k, v in self.blur_sd_deg.items()},
             "flip_prob": {k: float(v) for k, v in self.flip_prob.items()},
-            "region_bounds_deg": {k: list(v) for k, v in self.region_bounds_deg.items()},
             "bin_size_deg": self.bin_size_deg,
         }
 
@@ -362,7 +358,9 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     erfc = np.zeros_like(z)
     below = z < 1.0
     erfc[below] = 1.0 - _erf(z[below])
-    tail = np.flatnonzero(~below & (-z * z >= -_MAXLOG))
+    # z * z may overflow to inf, which compares below -MAXLOG as Cephes' C does
+    with np.errstate(over="ignore"):
+        tail = np.flatnonzero(~below & (-z * z >= -_MAXLOG))
     zt = z[tail]
     neg_sq = -zt * zt
     p = np.where(zt < 8.0, _polevl(zt, _ERFC_P), _polevl(zt, _ERFC_R))
@@ -394,7 +392,9 @@ def _wrapped_normal_bin_mass(bin_size_deg: int, sd_deg: float) -> np.ndarray:
     # The CDF at every edge - mean + 360 k, lowest first: lower edge - mean
     # runs from 1 - 2n to 2n - 2 half bins, and the upper edge is two higher.
     half_bins = np.arange(1 - turn * (wraps + 1), turn * (wraps + 1) + 1)
-    cdf = _ndtr(half_bins * (bin_size_deg / 2) / sd_deg)
+    # A subnormal SD sends far edges to +-inf, where the CDF is exactly 0 or 1.
+    with np.errstate(over="ignore"):
+        cdf = _ndtr(half_bins * (bin_size_deg / 2) / sd_deg)
     per_wrap = cdf[2:] - cdf[:-2]
     width = 2 * turn - 2
     mass = per_wrap[:width].copy()
@@ -420,12 +420,10 @@ def synthesize_model(params: SyntheticModelParams) -> ConfusionModel:
     centers = 2 * np.arange(n) + 1
     mirrors = (n - centers) % (2 * n)
     lower_edges = 2 * np.arange(n) + 2 * n - 1
-    by_bin = _regions_by_bin(params.bin_size_deg, params.region_bounds_deg)
+    by_bin = _regions_by_bin(params.bin_size_deg)
     matrix = np.empty((n, n))
-    for region in params.region_bounds_deg:
-        rows = np.flatnonzero(by_bin == region)
-        if rows.size == 0:
-            continue
+    for region in REGIONS:
+        rows = np.flatnonzero(by_bin == region)  # at 90- or 120-degree bins, maybe none
         sd = float(params.blur_sd_deg[region])
         flip = float(params.flip_prob[region])
         mass = _wrapped_normal_bin_mass(params.bin_size_deg, sd)

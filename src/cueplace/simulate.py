@@ -13,13 +13,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .angles import angular_distance, bin_centers, mirror_front_back
 from .confusion import (
-    DEFAULT_REGION_BOUNDS,
+    REGIONS,
     ConfusionModel,
     ModelFormatError,
     _draw,
@@ -201,12 +200,12 @@ def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int):
     return true_bins, sample_bins(model, true_bins, rng.random(true_bins.size))
 
 
-def _regions_with_centers(bin_size_deg: int, bounds: Mapping[str, tuple[float, float]]) -> np.ndarray:
+def _regions_with_centers(bin_size_deg: int) -> np.ndarray:
     """`_regions_by_bin`, for statistics per region: every region must hold
     a bin center, or it has none."""
 
-    by_bin = _regions_by_bin(bin_size_deg, bounds)
-    for name in bounds:
+    by_bin = _regions_by_bin(bin_size_deg)
+    for name in REGIONS:
         if not np.any(by_bin == name):
             raise ModelFormatError(
                 f"no bin center of a {bin_size_deg}-degree model lies in region {name!r}"
@@ -217,7 +216,7 @@ def _regions_with_centers(bin_size_deg: int, bounds: Mapping[str, tuple[float, f
 def table1_statistics(
     model: ConfusionModel, trials_per_bin: int = 200, seed: int = 0
 ) -> dict[str, LocalizationStats]:
-    """Simulated localization errors per `DEFAULT_REGION_BOUNDS` region, plus "all".
+    """Simulated localization errors per region of `REGIONS`, plus "all".
 
     Every true bin gets `trials_per_bin` trials; the cue plays from the bin
     center and the percept is the sampled bin's center. Circular error is
@@ -228,8 +227,8 @@ def table1_statistics(
     """
 
     true_bins, perceived = _trials_by_bin(model, trials_per_bin, seed)
-    by_bin = _regions_with_centers(model.bin_size_deg, DEFAULT_REGION_BOUNDS)
-    for name in DEFAULT_REGION_BOUNDS:
+    by_bin = _regions_with_centers(model.bin_size_deg)
+    for name in REGIONS:
         if trials_per_bin * np.count_nonzero(by_bin == name) < 2:
             raise ValueError(
                 f"region {name!r} holds one bin, so {trials_per_bin} trial per bin leaves "
@@ -242,7 +241,7 @@ def table1_statistics(
     cone = circular - adjusted
 
     out: dict[str, LocalizationStats] = {}
-    for name in (*DEFAULT_REGION_BOUNDS, "all"):
+    for name in (*REGIONS, "all"):
         if name == "all":
             c, a, k = circular, adjusted, cone
         else:
@@ -272,10 +271,10 @@ def expected_localization_errors(model: ConfusionModel) -> dict[str, dict[str, f
     circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
     e_circ = (model.matrix * circ_by_bin).sum(axis=1)
     e_adj = (model.matrix * adj_by_bin).sum(axis=1)
-    regions = _regions_with_centers(model.bin_size_deg, DEFAULT_REGION_BOUNDS)
+    regions = _regions_with_centers(model.bin_size_deg)
 
     out: dict[str, dict[str, float]] = {}
-    for name in (*DEFAULT_REGION_BOUNDS, "all"):
+    for name in (*REGIONS, "all"):
         m = regions == name if name != "all" else np.ones_like(e_circ, dtype=bool)
         circ, adj = float(e_circ[m].mean()), float(e_adj[m].mean())
         out[name] = {"circular": circ, "adjusted": adj, "cone_effect": circ - adj}

@@ -19,7 +19,6 @@ import itertools
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -48,16 +47,15 @@ BRUTE_FORCE_MAX_ELEMENTS = 5
 BRUTE_FORCE_MAX_BINS = 36
 
 
-def region_of(azimuth_deg: float, bounds: Mapping[str, tuple[float, float]] | None = None) -> str:
-    """Name of the region whose arc contains the azimuth."""
+def region_of(azimuth_deg: float) -> str:
+    """Name of the first region whose arc contains the azimuth."""
 
-    bounds = DEFAULT_REGION_BOUNDS if bounds is None else bounds
     a = normalize(azimuth_deg)
-    for name, (lo, hi) in bounds.items():
+    for name, (lo, hi) in DEFAULT_REGION_BOUNDS.items():
         span = (hi - lo) % 360.0
         if (a - lo) % 360.0 < span:
             return name
-    raise ValueError(f"region bounds do not cover azimuth {azimuth_deg}")
+    raise ValueError(f"no region holds azimuth {azimuth_deg}")
 
 
 def wrapped_normal_bin_mass(mean_deg: float, sd_deg: float, edges: np.ndarray) -> np.ndarray:
@@ -81,7 +79,7 @@ def synthesize_model_scipy(params: cp.SyntheticModelParams) -> cp.ConfusionModel
     matrix = np.empty((n, n))
     for t in range(n):
         theta = bin_center(t, params.bin_size_deg)
-        region = region_of(theta, params.region_bounds_deg)
+        region = region_of(theta)
         sd = float(params.blur_sd_deg[region])
         flip = float(params.flip_prob[region])
         row = (1.0 - flip) * wrapped_normal_bin_mass(theta, sd, edges)

@@ -215,6 +215,15 @@ class TestEval:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+PARAMS = cp.calibrated_params().to_dict()
+
+
+def params_with(field, region, value, **top):
+    """Params JSON text with one region's value of `field` replaced."""
+
+    return json.dumps({**PARAMS, field: {**PARAMS[field], region: value}, **top})
+
+
 class TestModelCommands:
     def test_synth_then_inspect(self, tmp_path, capsys):
         model_path = tmp_path / "model.csv"
@@ -235,10 +244,17 @@ class TestModelCommands:
         assert loaded.bin_count == 30
 
     def test_synth_params_file_with_legacy_seed(self, tmp_path):
-        # params files written by earlier versions carry an unused "seed"
+        # params files written by earlier versions carry an unused "seed" and
+        # the region arcs, which are now fixed
         params = cp.calibrated_params().to_dict()
+        legacy = {**params, "region_bounds_deg": {k: list(v) for k, v in cp.DEFAULT_REGION_BOUNDS.items()}}
         outputs = []
-        for name, d in (("plain", params), ("seeded", {**params, "seed": 7})):
+        for name, d in (
+            ("plain", params),
+            ("seeded", {**params, "seed": 7}),
+            ("legacy", legacy),
+            ("legacy-seeded", {**legacy, "seed": 7}),
+        ):
             params_path = tmp_path / f"{name}.json"
             params_path.write_text(json.dumps(d))
             out = tmp_path / f"{name}.csv"
@@ -246,7 +262,33 @@ class TestModelCommands:
             outputs.append(out.read_bytes())
         default = tmp_path / "default.csv"
         assert main(["synth-model", "--out", str(default)]) == 0
-        assert outputs[0] == outputs[1] == default.read_bytes()
+        assert outputs == [default.read_bytes()] * 4
+
+    @pytest.mark.parametrize(
+        "text, bin_size",
+        [
+            pytest.param("[1,2]", 12, id="top-level-list"),
+            pytest.param(json.dumps({**PARAMS, "blur_sd_deg": [20.0] * 4}), 12, id="sd-list"),
+            pytest.param(params_with("blur_sd_deg", "front", "20"), 12, id="sd-string"),
+            pytest.param(params_with("flip_prob", "front", "20"), 12, id="flip-string"),
+            pytest.param(params_with("blur_sd_deg", "up", 3), 12, id="sd-unknown-region"),
+            pytest.param(params_with("blur_sd_deg", "front", True), 12, id="sd-bool"),
+            pytest.param(params_with("blur_sd_deg", "front", 1e300, bin_size_deg=1), 1, id="sd-huge"),
+            pytest.param(params_with("blur_sd_deg", "front", 3600.5, bin_size_deg=1), 1, id="sd-above-max"),
+            pytest.param(json.dumps({**PARAMS, "region_bounds_deg": {"front": 5}}), 12, id="bounds-malformed"),
+            pytest.param(json.dumps({"flip_prob": PARAMS["flip_prob"]}), 12, id="sd-missing"),
+            pytest.param(json.dumps({**PARAMS, "bin_size_deg": True}), 1, id="bin-size-bool"),
+            pytest.param(json.dumps({**PARAMS, "bin_size_deg": 12.0}), 12, id="bin-size-float"),
+        ],
+    )
+    def test_synth_rejects_malformed_params(self, tmp_path, capsys, text, bin_size):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(text)
+        out = tmp_path / "m.csv"
+        argv = ["synth-model", "--out", str(out), "--params", str(params_path), "--bin-size", str(bin_size)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: input: ")
+        assert not out.exists()
 
     def test_synth_conflicting_bin_size(self, tmp_path):
         params_path = tmp_path / "params.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import cueplace as cp
 from cueplace.confusion import (
     LOCALIZATION_ERROR_TARGETS,
+    MAX_BLUR_SD_DEG,
     ModelFormatError,
     _ndtr,
     _wrapped_normal_bin_mass,
@@ -203,34 +205,19 @@ class TestSynthesize:
 
     SD = st.floats(min_value=0.5, max_value=400.0)
     FLIP = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
-    # four cut points tiling the circle, often on half degrees, where bin
-    # centers and edges lie
-    CUTS = st.lists(
-        st.one_of(st.integers(-360, 359).map(lambda k: k * 0.5), st.floats(-180.0, 179.9)),
-        min_size=4,
-        max_size=4,
-        unique=True,
-    ).filter(lambda c: min(np.diff(sorted(c))) > 1e-6)
 
     @given(
         bin_size=st.sampled_from(DIVISORS),
         sd=st.tuples(SD, SD, SD, SD),
         flip=st.tuples(FLIP, FLIP, FLIP, FLIP),
-        cuts=st.one_of(st.none(), CUTS),
     )
-    @example(bin_size=1, sd=(0.5, 0.5, 400.0, 400.0), flip=(0.0, 1.0, 0.3, 1.0), cuts=None)
-    @example(bin_size=360, sd=(400.0,) * 4, flip=(0.5,) * 4, cuts=None)
-    @example(bin_size=120, sd=(0.5, 3.0, 0.5, 150.0), flip=(1.0, 0.0, 0.5, 1.0), cuts=[-60.0, -59.5, 60.0, 180.0])
+    @example(bin_size=1, sd=(0.5, 0.5, 400.0, 400.0), flip=(0.0, 1.0, 0.3, 1.0))
+    @example(bin_size=360, sd=(400.0,) * 4, flip=(0.5,) * 4)
     @settings(max_examples=60, deadline=None)
-    def test_drawn_bytes_match_scipy_oracle(self, scipy_special, tmp_path_factory, bin_size, sd, flip, cuts):
-        bounds = dict(cp.DEFAULT_REGION_BOUNDS)
-        if cuts is not None:
-            c = sorted(cuts)
-            bounds = {r: (c[k], c[(k + 1) % 4]) for k, r in enumerate(cp.REGIONS)}
+    def test_drawn_bytes_match_scipy_oracle(self, scipy_special, tmp_path_factory, bin_size, sd, flip):
         params = cp.SyntheticModelParams(
             blur_sd_deg=dict(zip(cp.REGIONS, sd)),
             flip_prob=dict(zip(cp.REGIONS, flip)),
-            region_bounds_deg=bounds,
             bin_size_deg=bin_size,
         )
         tmp = tmp_path_factory.mktemp("synth")
@@ -250,18 +237,20 @@ class TestParams:
         with pytest.raises(ModelFormatError):
             cp.SyntheticModelParams(blur_sd_deg={"front": 20.0}, flip_prob=good_flip)
 
-    def test_rejects_bad_region_bounds(self):
-        with pytest.raises(ModelFormatError):
-            cp.SyntheticModelParams(
-                blur_sd_deg={r: 20.0 for r in cp.REGIONS},
-                flip_prob={r: 0.2 for r in cp.REGIONS},
-                region_bounds_deg={
-                    "front": (-36.0, 36.0),
-                    "right": (36.0, 150.0),  # overlaps back
-                    "back": (144.0, 216.0),
-                    "left": (216.0, 324.0),
-                },
-            )
+    def test_largest_blur_sd_is_accepted(self):
+        sd = {r: MAX_BLUR_SD_DEG for r in cp.REGIONS}
+        params = cp.SyntheticModelParams(blur_sd_deg=sd, flip_prob={r: 0.2 for r in cp.REGIONS})
+        np.testing.assert_allclose(cp.synthesize_model(params).matrix, 1.0 / 30, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("sd", [1e-300, 5e-324])
+    def test_tiny_blur_sd_synthesizes_without_warnings(self, sd):
+        params = cp.SyntheticModelParams(
+            blur_sd_deg={r: sd for r in cp.REGIONS}, flip_prob={r: 0.0 for r in cp.REGIONS}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = cp.synthesize_model(params)
+        np.testing.assert_array_equal(model.matrix, np.eye(30))
 
     def test_dict_round_trip(self):
         params = cp.calibrated_params()
@@ -274,6 +263,33 @@ class TestParams:
         d = cp.calibrated_params().to_dict()
         d["bogus"] = 1
         with pytest.raises(ModelFormatError):
+            cp.SyntheticModelParams.from_dict(d)
+
+    def test_to_dict_writes_no_region_bounds(self):
+        assert set(cp.calibrated_params().to_dict()) == {"blur_sd_deg", "flip_prob", "bin_size_deg"}
+
+    # earlier versions wrote the region arcs, as lists in JSON
+    LEGACY_BOUNDS = {k: list(v) for k, v in cp.DEFAULT_REGION_BOUNDS.items()}
+
+    @pytest.mark.parametrize("bounds", [LEGACY_BOUNDS, dict(cp.DEFAULT_REGION_BOUNDS)])
+    def test_from_dict_drops_default_region_bounds(self, bounds):
+        params = cp.calibrated_params()
+        again = cp.SyntheticModelParams.from_dict({**params.to_dict(), "region_bounds_deg": bounds})
+        assert again == cp.SyntheticModelParams.from_dict(params.to_dict())
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {**LEGACY_BOUNDS, "right": [36.0, 150.0]},
+            {"front": 5},
+            {k: v for k, v in LEGACY_BOUNDS.items() if k != "left"},
+            [[-36.0, 36.0]] * 4,
+            None,
+        ],
+    )
+    def test_from_dict_rejects_other_region_bounds(self, bounds):
+        d = {**cp.calibrated_params().to_dict(), "region_bounds_deg": bounds}
+        with pytest.raises(ModelFormatError, match="region_bounds_deg"):
             cp.SyntheticModelParams.from_dict(d)
 
 

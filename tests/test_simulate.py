@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 import tracemalloc
 from functools import lru_cache
 
@@ -431,46 +430,23 @@ class TestExpectedErrors:
 
 
 class TestRegionsByBin:
-    @staticmethod
-    def per_center(bin_size, bounds):
-        try:
-            return [region_of(c, bounds) for c in cp.bin_centers(bin_size)]
-        except ValueError as e:
-            return str(e)
-
-    # Arcs between consecutive sorted cut points (a tiling when the cuts lie
-    # within one turn), or arbitrary ones that may overlap or leave centers
-    # uncovered; ends on half degrees often meet a center exactly.
-    ANGLE = st.one_of(st.floats(-400.0, 400.0), st.integers(-800, 1440).map(lambda k: k * 0.5))
-    TILING = st.lists(ANGLE, min_size=2, max_size=5, unique=True).map(
-        lambda cuts: list(zip(sorted(cuts), sorted(cuts)[1:] + sorted(cuts)[:1]))
-    )
-
-    @given(
-        bin_size=st.sampled_from([d for d in range(1, 361) if 360 % d == 0]),
-        arcs=st.one_of(TILING, st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=5)),
-    )
-    @settings(max_examples=300)
-    def test_matches_region_of_per_center(self, bin_size, arcs):
-        bounds = {f"r{i}": arc for i, arc in enumerate(arcs)}
-        expected = self.per_center(bin_size, bounds)
-        if isinstance(expected, str):  # a center no arc covers
-            for lookup in (_regions_by_bin, _regions_with_centers):
-                with pytest.raises(ValueError, match=re.escape(expected)):
-                    lookup(bin_size, bounds)
-            return
-        assert _regions_by_bin(bin_size, bounds).tolist() == expected
-        if set(expected) != set(bounds):  # a region holding no center
-            with pytest.raises(ModelFormatError):
-                _regions_with_centers(bin_size, bounds)
-        else:
-            assert _regions_with_centers(bin_size, bounds).tolist() == expected
-
-    @pytest.mark.parametrize("bin_size", [d for d in range(1, 61) if 360 % d == 0])
+    @pytest.mark.parametrize("bin_size", [d for d in range(1, 361) if 360 % d == 0])
     def test_default_bounds(self, bin_size):
-        assert _regions_by_bin(bin_size, DEFAULT_REGION_BOUNDS).tolist() == self.per_center(
-            bin_size, DEFAULT_REGION_BOUNDS
-        )
+        centers = cp.bin_centers(bin_size)
+        for c in centers:
+            holders = [
+                name
+                for name, (lo, hi) in DEFAULT_REGION_BOUNDS.items()
+                if (c - lo) % 360.0 < (hi - lo) % 360.0
+            ]
+            assert len(holders) == 1, (c, holders)
+        expected = [region_of(c) for c in centers]
+        assert _regions_by_bin(bin_size).tolist() == expected
+        if set(expected) == set(cp.REGIONS):
+            assert _regions_with_centers(bin_size).tolist() == expected
+        else:  # 90- and 120-degree bins leave a region without a center
+            with pytest.raises(ModelFormatError):
+                _regions_with_centers(bin_size)
 
 
 class TestTable1Statistics:
