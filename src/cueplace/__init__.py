@@ -29,7 +29,6 @@ from .confusion import (
     load_model,
     model_from_trials,
     row_entropies,
-    sample_perceived,
     save_model,
     synthesize_model,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "model_from_trials",
     "synthesize_model",
     "calibrated_params",
-    "sample_perceived",
     "diagonal_argmax_fraction",
     "row_entropies",
     "Element",

@@ -34,9 +34,9 @@ from .confusion import (
     save_model,
     synthesize_model,
 )
-from .layout import Layout, LayoutError, load_layout
+from .layout import Layout, load_layout
 from .placement import InfeasibleLayoutError, PlacementSolution, colocated_solution, solve
-from .scoring import ScoreMatrix, Weights, build_score_matrix
+from .scoring import Weights, build_score_matrix
 from .simulate import dump_trials, expected_localization_errors, run_simulation, table1_statistics
 
 EXIT_OK = 0
@@ -53,14 +53,16 @@ def _emit_json(obj, out: str) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _solution_dict(solution: PlacementSolution, scores: ScoreMatrix, max_disp) -> dict:
+def _solution_dict(
+    solution: PlacementSolution, bin_size_deg: int, weights: Weights, cone_rule: str, max_disp
+) -> dict:
     d = {
         "solver": solution.solver,
         "objective": solution.objective,
         "cut_rotation": solution.cut_rotation,
-        "bin_size_deg": scores.model.bin_size_deg,
-        "weights": {"blur": scores.weights.blur, "cone": scores.weights.cone},
-        "cone_rule": scores.cone_rule,
+        "bin_size_deg": bin_size_deg,
+        "weights": {"blur": weights.blur, "cone": weights.cone},
+        "cone_rule": cone_rule,
         "max_displacement_deg": max_disp,
         "per_element_score": list(solution.per_element_score),
         "assignments": [
@@ -103,7 +105,7 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     solution = solve(scores, max_displacement_deg=cap)
     solve_ms = (time.perf_counter() - t0) * 1e3
-    _emit_json(_solution_dict(solution, scores, cap), args.out)
+    _emit_json(_solution_dict(solution, model.bin_size_deg, weights, args.cone_rule, cap), args.out)
     print(f"solved n={len(layout)} in {solve_ms:.2f} ms", file=sys.stderr)
     return EXIT_OK
 
@@ -153,17 +155,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth_model(args) -> int:
+    # The bin size is the params file's if it has one, else --bin-size's, else 12.
+    params = calibrated_params()
     if args.params:
-        params = SyntheticModelParams.from_dict(
-            json.loads(Path(args.params).read_text(encoding="utf-8"))
-        )
-        if args.bin_size != params.bin_size_deg:
+        d = json.loads(Path(args.params).read_text(encoding="utf-8"))
+        params = SyntheticModelParams.from_dict(d)
+        if "bin_size_deg" in d and args.bin_size not in (None, params.bin_size_deg):
             raise ModelFormatError(
                 f"--bin-size {args.bin_size} conflicts with params file "
                 f"bin_size_deg={params.bin_size_deg}"
             )
-    else:
-        params = calibrated_params(bin_size_deg=args.bin_size)
+    if args.bin_size is not None:
+        params = dataclasses.replace(params, bin_size_deg=args.bin_size)
     model = synthesize_model(params)
     # trials first: a rejected trial budget must leave no model file behind
     if args.trials_csv:
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-model", help="write the calibrated synthetic confusion model")
     p.add_argument("--out", required=True, help="model CSV path")
-    p.add_argument("--bin-size", type=int, default=12)
+    p.add_argument("--bin-size", type=int, default=None, help="default: the params file's, else 12")
     p.add_argument("--params", default=None, help="JSON file of synthetic parameters")
     p.add_argument("--trials-csv", default=None, help="also dump raw simulated trials here")
     p.add_argument("--trials-per-bin", type=int, default=200)
@@ -298,10 +301,8 @@ def main(argv=None) -> int:
     except InfeasibleLayoutError as e:
         print(f"error: infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (LayoutError, ModelFormatError) as e:
-        print(f"error: input: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    # LayoutError, ModelFormatError and JSONDecodeError are ValueErrors
+    except (OSError, ValueError) as e:
         print(f"error: input: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:  # pragma: no cover - defensive

@@ -182,12 +182,11 @@ def identity_model(bin_size_deg: int = 12) -> ConfusionModel:
     return ConfusionModel(bin_size_deg, np.eye(n), provenance="synthetic")
 
 
-def load_model(path: str | Path, renormalize: bool = False) -> ConfusionModel:
+def load_model(path: str | Path) -> ConfusionModel:
     """Load a confusion matrix from its CSV format.
 
     First line `bin_size_deg,<int>`, then bin_count rows of bin_count
-    probabilities (row i = true bin i). Rows must sum to 1 within 1e-6
-    unless `renormalize` is set, in which case each row is rescaled.
+    probabilities (row i = true bin i). Rows must sum to 1 within 1e-6.
     """
 
     path = Path(path)
@@ -223,15 +222,9 @@ def load_model(path: str | Path, renormalize: bool = False) -> ConfusionModel:
                     column=j,
                 ) from None
 
-    if renormalize:
-        sums = matrix.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0):
-            r = int(np.flatnonzero(sums.ravel() <= 0)[0])
-            raise ModelFormatError(f"{path}: row {r} has non-positive mass, cannot renormalize", row=r)
-        matrix = matrix / sums
     try:
         model = ConfusionModel(bin_size, matrix, provenance="empirical_file")
-        model.validate(row_sum_tol=1e-9 if renormalize else 1e-6)
+        model.validate(row_sum_tol=1e-6)
     except ModelFormatError as e:
         raise ModelFormatError(f"{path}: {e}", row=e.row, column=e.column) from None
     return model
@@ -428,8 +421,7 @@ def synthesize_model(params: SyntheticModelParams) -> ConfusionModel:
         flip = float(params.flip_prob[region])
         mass = _wrapped_normal_bin_mass(params.bin_size_deg, sd)
         block = (1.0 - flip) * mass[lower_edges - centers[rows, None]]
-        if flip > 0.0:
-            block += flip * mass[lower_edges - mirrors[rows, None]]
+        block += flip * mass[lower_edges - mirrors[rows, None]]
         matrix[rows] = block / block.sum(axis=1, keepdims=True)
     model = ConfusionModel(params.bin_size_deg, matrix, provenance="synthetic")
     model.validate(row_sum_tol=1e-9)
@@ -581,19 +573,6 @@ def sample_bins(model: ConfusionModel, true_bins: np.ndarray, u: np.ndarray) -> 
     row_of = np.zeros(nb, np.int16)
     row_of[rows] = np.arange(rows.size)
     return _draw(model, rows, row_of.take(true_bins), u)
-
-
-def sample_perceived(model: ConfusionModel, true_bin: int, rng: np.random.Generator, size=None):
-    """Sample perceived bin(s) for a cue played in `true_bin`.
-
-    Draws follow the model row exactly; the caller owns the random stream.
-    """
-
-    if not 0 <= true_bin < model.bin_count:
-        raise ValueError(f"true_bin {true_bin} out of range [0, {model.bin_count})")
-    u = rng.random(size)
-    idx = sample_bins(model, np.full(np.size(u), true_bin), np.ravel(u))
-    return int(idx[0]) if size is None else idx.reshape(np.shape(u))
 
 
 def diagonal_argmax_fraction(model: ConfusionModel) -> float:

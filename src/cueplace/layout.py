@@ -25,7 +25,6 @@ class Element:
     id: str
     visual_azimuth_deg: float
     elevation_deg: float = 0.0
-    label: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +99,7 @@ def _deconflict(elements) -> tuple[Element, ...]:
                 target = min(merged)
                 cluster_of = [target if c in merged else c for c in cluster_of]
         pos = _spread(az, ids, cluster_of)
-    return tuple(
-        Element(e.id, p, float(e.elevation_deg), e.label) for e, p in zip(elements, pos)
-    )
+    return tuple(Element(e.id, p, float(e.elevation_deg)) for e, p in zip(elements, pos))
 
 
 def _spread(az: list[float], ids: list[str], cluster_of: list[int]) -> list[float]:
@@ -139,22 +136,35 @@ def layout_from_dict(d: dict) -> Layout:
     elements = []
     for i, item in enumerate(raw):
         try:
-            element = Element(
-                id=str(item["id"]),
-                visual_azimuth_deg=float(item["azimuth_deg"]),
-                elevation_deg=float(item.get("elevation_deg", 0.0)),
-                label=item.get("label"),
-            )
-            for name, value in (
-                ("azimuth_deg", element.visual_azimuth_deg),
-                ("elevation_deg", element.elevation_deg),
-            ):
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} of {element.id!r} must be finite, got {value!r}")
-            elements.append(element)
-        except (KeyError, TypeError, ValueError) as e:
+            elements.append(_element_from_dict(item))
+        except LayoutError as e:
             raise LayoutError(f"element {i}: {e}") from None
     return Layout(tuple(elements))
+
+
+def _element_from_dict(item) -> Element:
+    """One layout-file element: a string `id` and numeric `azimuth_deg` and
+    optional `elevation_deg`, taken as they are, never coerced. A number is
+    a JSON int or float, not a bool. Other keys are ignored."""
+
+    if not isinstance(item, dict) or not {"id", "azimuth_deg"} <= item.keys():
+        raise LayoutError(f"must be an object with 'id' and 'azimuth_deg', got {item!r}")
+    eid = item["id"]
+    if not isinstance(eid, str):
+        raise LayoutError(f"id must be a string, got {eid!r}")
+    angles = []
+    for name in ("azimuth_deg", "elevation_deg"):
+        value = item.get(name, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise LayoutError(f"{name} of {eid!r} must be a number, got {value!r}")
+        try:
+            angle = float(value)
+        except OverflowError:  # an int past the float range, as infinite as 1e999
+            angle = math.inf
+        if not math.isfinite(angle):
+            raise LayoutError(f"{name} of {eid!r} must be finite, got {value!r}")
+        angles.append(angle)
+    return Element(eid, *angles)
 
 
 def load_layout(path: str | Path) -> Layout:

@@ -40,13 +40,13 @@ class Weights:
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
-    """n x bin_count utilities; row i scores element i at each candidate bin."""
+    """n x bin_count utilities; row i scores element i at each candidate bin.
+
+    Only what the solvers read, so utilities from any objective can be solved."""
 
     values: np.ndarray
-    weights: Weights
     model: ConfusionModel
     layout: Layout
-    cone_rule: ConeRule = "point-plus-mirror"
 
     @property
     def n_elements(self) -> int:
@@ -83,7 +83,7 @@ def build_score_matrix(
             f"scores must be finite; weights blur={weights.blur!r}, cone={weights.cone!r} overflow"
         )
     values.flags.writeable = False
-    return ScoreMatrix(values, weights, model, layout, cone_rule)
+    return ScoreMatrix(values, model, layout)
 
 
 def _cone_distances(layout: Layout, bin_size_deg: int, cone_rule: ConeRule) -> np.ndarray:

@@ -47,4 +47,4 @@ def random_scores(
     if quantize is not None:
         values = np.round(values / quantize) * quantize
     values.flags.writeable = False
-    return cp.ScoreMatrix(values, cp.Weights(), model, layout)
+    return cp.ScoreMatrix(values, model, layout)

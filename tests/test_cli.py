@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cueplace as cp
-from cueplace.cli import _emit_json, main
+from cueplace.cli import _emit_json, _solution_dict, main
 
 LAYOUT = {
     "elements": [
@@ -32,6 +32,24 @@ def files(tmp_path, calibrated_model):
     model = tmp_path / "model.csv"
     cp.save_model(calibrated_model, model)
     return tmp_path, str(layout), str(model)
+
+
+def assert_solve_matches_library(files, model, flags, weights, cone_rule, cap):
+    """`solve` writes the given weights and cone rule, and the bytes of
+    `_solution_dict` applied to the library's own solution."""
+
+    tmp, layout_path, model_path = files
+    out = tmp / "sol.json"
+    cap_flags = [] if cap is None else ["--max-displacement", str(cap)]
+    argv = ["solve", "--layout", layout_path, "--model", model_path, "--out", str(out)]
+    assert main(argv + flags + cap_flags) == 0
+    sol = json.loads(out.read_text())
+    assert sol["weights"] == {"blur": weights.blur, "cone": weights.cone}
+    assert sol["cone_rule"] == cone_rule
+    scores = cp.build_score_matrix(model, cp.load_layout(layout_path), weights, cone_rule)
+    solution = cp.solve(scores, max_displacement_deg=cap)
+    expected = _solution_dict(solution, model.bin_size_deg, weights, cone_rule, cap)
+    assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 class TestSolve:
@@ -59,15 +77,12 @@ class TestSolve:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_matches_library_output(self, files, calibrated_model):
-        from cueplace.cli import _solution_dict
+        assert_solve_matches_library(files, calibrated_model, [], cp.Weights(), "point-plus-mirror", None)
 
-        tmp, layout_path, model = files
-        out = tmp / "sol.json"
-        main(["solve", "--layout", layout_path, "--model", model, "--out", str(out)])
-        layout = cp.load_layout(layout_path)
-        scores = cp.build_score_matrix(calibrated_model, layout)
-        expected = json.dumps(_solution_dict(cp.solve(scores), scores, None), sort_keys=True, indent=2) + "\n"
-        assert out.read_text() == expected
+    @pytest.mark.parametrize("cap", [None, 40.0])
+    def test_records_scoring_flags(self, files, calibrated_model, cap):
+        flags = ["--weights", "0.7,0.3", "--cone-rule", "mirror-only"]
+        assert_solve_matches_library(files, calibrated_model, flags, cp.Weights(0.7, 0.3), "mirror-only", cap)
 
     def test_max_displacement_flag(self, files):
         tmp, layout, model = files
@@ -143,6 +158,29 @@ class TestSolve:
         out = tmp_path / "sol.json"
         assert main(["solve", "--layout", str(layout), "--out", str(out)]) == 2
         assert "element 0: elevation_deg of 'a' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"elements": [{"id": 1, "azimuth_deg": true}, {"id": "b", "azimuth_deg": "90"}]}',
+                "element 0: id must be a string, got 1",
+            ),
+            (
+                '{"elements": [{"id": "a", "azimuth_deg": 10, "elevation_deg": true}]}',
+                "element 0: elevation_deg of 'a' must be a number, got True",
+            ),
+        ],
+    )
+    def test_mistyped_layout_field_is_input_error(self, tmp_path, capsys, text, message):
+        layout = tmp_path / "layout.json"
+        layout.write_text(text)
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--layout", str(layout), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input:")
+        assert message in err
         assert not out.exists()
 
     def test_missing_layout_is_input_error(self, tmp_path, capsys):
@@ -297,6 +335,24 @@ class TestModelCommands:
             ["synth-model", "--out", str(tmp_path / "m.csv"), "--params", str(params_path), "--bin-size", "30"]
         )
         assert code == 2
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_synth_bin_size_from_flag_when_file_has_none(self, tmp_path):
+        params = cp.calibrated_params().to_dict()
+        without, with3 = tmp_path / "without.json", tmp_path / "with3.json"
+        without.write_text(json.dumps({k: v for k, v in params.items() if k != "bin_size_deg"}))
+        with3.write_text(json.dumps({**params, "bin_size_deg": 3}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["synth-model", "--out", str(a), "--params", str(without), "--bin-size", "3"]) == 0
+        assert main(["synth-model", "--out", str(b), "--params", str(with3)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_synth_bin_size_from_file_without_flag(self, tmp_path):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({**cp.calibrated_params().to_dict(), "bin_size_deg": 3}))
+        out = tmp_path / "m.csv"
+        assert main(["synth-model", "--out", str(out), "--params", str(params_path)]) == 0
+        assert cp.load_model(out).matrix.shape == (120, 120)
 
     def test_synth_trials_csv(self, tmp_path):
         model_path, trials_path = tmp_path / "m.csv", tmp_path / "t.csv"
@@ -453,6 +509,8 @@ class TestParser:
 
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
+# JSON values that are not numbers, where a layout file wants one
+mistyped_numbers = st.one_of(st.booleans(), st.text(max_size=4), st.none())
 
 
 @st.composite
@@ -468,10 +526,14 @@ def layout_texts(draw):
     if draw(st.integers(0, 5)) == 0:
         azimuths[-1] = draw(any_float)
     if draw(st.integers(0, 5)) == 0:
+        azimuths[-1] = draw(mistyped_numbers)
+    if draw(st.integers(0, 5)) == 0:
         ids[-1] = ids[0]
+    if draw(st.integers(0, 7)) == 0:
+        ids[-1] = draw(st.integers())
     elements = [{"id": i, "azimuth_deg": a} for i, a in zip(ids, azimuths)]
     if draw(st.integers(0, 5)) == 0:
-        elements[-1]["elevation_deg"] = draw(any_float)
+        elements[-1]["elevation_deg"] = draw(st.one_of(any_float, mistyped_numbers))
     return json.dumps({"elements": elements})
 
 

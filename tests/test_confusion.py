@@ -340,15 +340,12 @@ class TestFileRoundTrip:
             cp.load_model(path)
         assert (exc.value.row, exc.value.column) == (1, 1)
 
-    def test_row_sum_tolerance_and_renormalize(self, tmp_path):
+    def test_row_sum_tolerance(self, tmp_path):
         path = tmp_path / "off.csv"
         path.write_text("bin_size_deg,120\n0.5,0.25,0.25\n0.2,0.6,0.1\n0,0,1\n")
         with pytest.raises(ModelFormatError) as exc:
             cp.load_model(path)
         assert exc.value.row == 1
-        m = cp.load_model(path, renormalize=True)
-        np.testing.assert_allclose(m.matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert m.matrix[1, 1] == pytest.approx(0.6 / 0.9)
 
 
 class TestModelFromTrials:
@@ -424,27 +421,6 @@ class TestModelFromTrials:
         path.write_text("true_azimuth_deg,predicted_azimuth_deg\n45,oops\n")
         with pytest.raises(ModelFormatError):
             cp.model_from_trials(path, bin_size_deg=90)
-
-
-class TestSamplePerceived:
-    def test_deterministic_given_seed(self, calibrated_model):
-        a = cp.sample_perceived(calibrated_model, 3, np.random.default_rng(9), size=100)
-        b = cp.sample_perceived(calibrated_model, 3, np.random.default_rng(9), size=100)
-        np.testing.assert_array_equal(a, b)
-
-    def test_scalar_draw(self, calibrated_model):
-        out = cp.sample_perceived(calibrated_model, 0, np.random.default_rng(0))
-        assert isinstance(out, int)
-        assert 0 <= out < 30
-
-    def test_frequencies_track_row(self, calibrated_model):
-        draws = cp.sample_perceived(calibrated_model, 5, np.random.default_rng(1), size=200000)
-        freq = np.bincount(draws, minlength=30) / draws.size
-        assert np.abs(freq - calibrated_model.matrix[5]).max() < 0.01
-
-    def test_rejects_bad_bin(self, calibrated_model):
-        with pytest.raises(ValueError):
-            cp.sample_perceived(calibrated_model, 30, np.random.default_rng(0))
 
 
 class TestDiagonalArgmax:

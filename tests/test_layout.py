@@ -133,8 +133,31 @@ class TestJson:
         lay = cp.load_layout(path)
         assert lay.ids == ["a", "b"]
         assert lay.elements[0].elevation_deg == 5.0
-        assert lay.elements[0].label == "mail"
         assert lay.elements[1].elevation_deg == 0.0
+        # a legacy "label" is ignored like any other unknown key
+        assert lay.elements[0] == cp.Element("a", 354.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            ({"id": 1, "azimuth_deg": 10}, "id must be a string, got 1"),
+            ({"id": None, "azimuth_deg": 10}, "id must be a string, got None"),
+            ({"id": "a", "azimuth_deg": True}, "azimuth_deg of 'a' must be a number, got True"),
+            ({"id": "a", "azimuth_deg": "90"}, "azimuth_deg of 'a' must be a number, got '90'"),
+            ({"id": "a", "azimuth_deg": None}, "azimuth_deg of 'a' must be a number, got None"),
+            ({"id": "a", "azimuth_deg": [90]}, "azimuth_deg of 'a' must be a number, got [90]"),
+            ({"id": "a", "azimuth_deg": 9, "elevation_deg": False}, "elevation_deg of 'a' must be a number"),
+            ({"id": "a", "azimuth_deg": 9, "elevation_deg": "5"}, "elevation_deg of 'a' must be a number"),
+            ({"id": "a", "azimuth_deg": 10**400}, "azimuth_deg of 'a' must be finite"),
+            ({"id": "a"}, "must be an object with 'id' and 'azimuth_deg', got {'id': 'a'}"),
+            ("a", "must be an object with 'id' and 'azimuth_deg', got 'a'"),
+        ],
+    )
+    def test_fields_are_type_checked_not_coerced(self, element, message):
+        ok = {"id": "z", "azimuth_deg": 200}
+        with pytest.raises(LayoutError) as exc:
+            cp.layout_from_dict({"elements": [ok, element]})
+        assert str(exc.value).startswith(f"element 1: {message}")
 
     @pytest.mark.parametrize(
         "payload",

@@ -24,7 +24,7 @@ def scores_from(values, azimuths, bin_size):
     layout = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
     values = np.asarray(values, dtype=float)
     values.flags.writeable = False
-    return cp.ScoreMatrix(values, cp.Weights(), model, layout)
+    return cp.ScoreMatrix(values, model, layout)
 
 
 def assert_feasible(scores, solution):

@@ -122,12 +122,6 @@ class TestSampler:
         )
         assert np.array_equal(sample_bins(model, true_bins, u), gather_sample_rows(matrix, true_bins, u))
 
-    def test_sample_perceived_matches_gather_sampler(self, calibrated_model):
-        draws = cp.sample_perceived(calibrated_model, 7, np.random.default_rng(3), size=5000)
-        u = np.random.default_rng(3).random(5000)
-        expected = gather_sample_rows(calibrated_model.matrix, np.full(5000, 7), u)
-        assert np.array_equal(draws, expected)
-
     # The cases below use enough trials per row for a fine guide table, and
     # each checks that trials land in cells holding a CDF entry, where the
     # sampler has to search instead of reading the table.
