@@ -55,11 +55,13 @@ def main() -> None:
                 f"{reports[strategy].accuracy_stderr!r},{exact[strategy]!r}"
             )
         gap, se = reports["optimized"].accuracy_gap(reports["colocated"])
+        # A standard error is 0 when the accuracy is 0 or 1, as at one trial.
+        z = f"{gap / se:>7.1f}" if se > 0 else f"{'n/a':>7}"
         print(
             f"{name:>22} "
             f"{reports['colocated'].accuracy:>9.4f} (exact {exact['colocated']:.4f}) "
             f"{reports['optimized'].accuracy:>9.4f} (exact {exact['optimized']:.4f}) "
-            f"{gap:+.4f} {gap / se:>7.1f}"
+            f"{gap:+.4f} {z}"
         )
     if args.csv:
         Path(args.csv).write_text("\n".join(rows) + "\n", encoding="utf-8")

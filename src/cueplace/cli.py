@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p, required_model=False):
-        p.add_argument("--model", required=required_model, help="confusion model CSV")
+    def add_model_args(p):
+        p.add_argument("--model", help="confusion model CSV")
         p.add_argument("--weights", default="0.9,0.1", help="blur,cone weights")
         p.add_argument(
             "--cone-rule",

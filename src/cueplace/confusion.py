@@ -507,13 +507,31 @@ def _build_guide(
     return cdf, table, int(span.max(initial=0)).bit_length()
 
 
-def _draw(
+def sample_bins(
     model: ConfusionModel, rows: np.ndarray, row_index: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Perceived bin of each trial: trial k plays in bin `rows[row_index[k]]`
-    and draws with the uniform `u[k]`. The one trial-length array it keeps
-    is the result, allocated after the guide is built and used first for
-    the trials' cell indices."""
+    """Inverse-CDF draw of one perceived bin per trial.
+
+    The cue of trial k plays in bin `rows[row_index[k]]` (rows may repeat)
+    and is perceived in the bin numbered by how many of that row's CDF
+    entries are at or below the uniform `u[k]`, capped at the last bin. All
+    arguments are 1-d and `u` is non-negative; values at or past 1 are
+    allowed. The model keeps its entries non-negative, so each CDF is
+    non-decreasing.
+
+    The count is found by indexed search (Chen & Asau, AIIE Trans. 6(2),
+    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
+    For the given rows, a guide table splits [0, 1) into K equal cells, K a
+    power of two from `_guide_cells(B, u.size // rows.size)`, plus one cell
+    for u >= 1, and records per cell how many CDF entries lie below the
+    cell and below its upper edge. Scaling by K is exact, so every entry
+    and every uniform falls in its true cell. Where the two counts agree
+    (after the cap) the trial's answer is one table lookup; the other
+    trials are resolved by a binary search over the entries inside their
+    cell. The working memory is the rows' CDFs, the table and one
+    trial-length array, the result, allocated after the guide is built and
+    used first for the trials' cell indices.
+    """
 
     nb, r = model.bin_count, rows.size
     cells = _guide_cells(nb, u.size // max(r, 1))
@@ -542,37 +560,6 @@ def _draw(
             np.add(pos, jump * r, out=pos, where=hit)
         out[trials] = np.minimum(pos // r, nb - 1)
     return out
-
-
-def sample_bins(model: ConfusionModel, true_bins: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one perceived bin per trial.
-
-    The cue of trial k plays in `true_bins[k]` and is perceived in the bin
-    numbered by how many of that row's CDF entries are at or below the
-    uniform `u[k]`, capped at the last bin. Both arguments are 1-d and `u`
-    is non-negative; values at or past 1 are allowed. The model keeps its
-    entries non-negative, so each CDF is non-decreasing.
-
-    The count is found by indexed search (Chen & Asau, AIIE Trans. 6(2),
-    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
-    For the rows the trials use, a guide table splits [0, 1) into K equal
-    cells, K a power of two, plus one cell for u >= 1, and records per cell
-    how many CDF entries lie below the cell and below its upper edge.
-    Scaling by K is exact, so every entry and every uniform falls in its
-    true cell. Where the two counts agree (after the cap) the trial's
-    answer is one table lookup; the other trials are resolved by a binary
-    search over the entries inside their cell. K is derived from the
-    bin count and the trials per row (`_guide_cells`), and the working
-    memory is the used rows' CDFs, the table and O(trials).
-    """
-
-    nb = model.bin_count
-    rows = np.flatnonzero(np.bincount(true_bins, minlength=nb))
-    # A row index is below B <= 360 and lives through the search, so it is
-    # kept in 16 bits.
-    row_of = np.zeros(nb, np.int16)
-    row_of[rows] = np.arange(rows.size)
-    return _draw(model, rows, row_of.take(true_bins), u)
 
 
 def diagonal_argmax_fraction(model: ConfusionModel) -> float:

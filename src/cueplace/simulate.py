@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import angular_distance, bin_centers, mirror_front_back
-from .confusion import (
-    REGIONS,
-    ConfusionModel,
-    ModelFormatError,
-    _draw,
-    _regions_by_bin,
-    sample_bins,
-)
+from .confusion import REGIONS, ConfusionModel, ModelFormatError, _regions_by_bin, sample_bins
 from .layout import Layout
 from .placement import PlacementSolution
 
@@ -107,7 +100,7 @@ def run_simulation(
     targets = rng.integers(n, size=trials)
     u = rng.random(trials)
 
-    cell = _draw(model, _bins_in_layout_order(solution, layout), targets, u)
+    cell = sample_bins(model, _bins_in_layout_order(solution, layout), targets, u)
     cell += np.multiply(targets, nb, out=targets)
     del targets  # scaled in place, and its memory goes before the tables below
     circular, adjusted = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
@@ -195,9 +188,10 @@ def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int):
 
     if trials_per_bin < 1:
         raise ValueError(f"trials_per_bin must be >= 1, got {trials_per_bin}")
-    true_bins = np.repeat(np.arange(model.bin_count), trials_per_bin)
-    rng = np.random.default_rng(seed)
-    return true_bins, sample_bins(model, true_bins, rng.random(true_bins.size))
+    rows = np.arange(model.bin_count)
+    true_bins = np.repeat(rows, trials_per_bin)
+    u = np.random.default_rng(seed).random(true_bins.size)
+    return true_bins, sample_bins(model, rows, true_bins, u)
 
 
 def _regions_with_centers(bin_size_deg: int) -> np.ndarray:

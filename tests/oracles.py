@@ -32,7 +32,7 @@ from cueplace.angles import (
     mirror_front_back,
     normalize,
 )
-from cueplace.confusion import DEFAULT_REGION_BOUNDS, sample_bins
+from cueplace.confusion import DEFAULT_REGION_BOUNDS
 from cueplace.placement import (
     INFEASIBLE_THRESHOLD,
     MASKED,
@@ -166,12 +166,24 @@ def nearest_element_decision(perceived_azimuth_deg: float, layout: cp.Layout) ->
     return int(np.argmin(d))
 
 
+def nearest_decisions(layout: cp.Layout, bin_size_deg: int) -> np.ndarray:
+    """`nearest_element_decision` at each bin center."""
+
+    return np.array([nearest_element_decision(c, layout) for c in bin_centers(bin_size_deg)])
+
+
 def gather_sample_rows(matrix: np.ndarray, true_bins: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per trial by counting, over a trials x bins gather,
-    the CDF entries at or below each uniform."""
+    the CDF entries at or below each uniform. The gather takes 2048 trials
+    at a time, which bounds its memory."""
 
     cdf = np.cumsum(matrix, axis=1)
-    idx = (cdf[true_bins] <= u[:, None]).sum(axis=1)
+    idx = np.concatenate(
+        [
+            (cdf[true_bins[s : s + 2048]] <= u[s : s + 2048, None]).sum(axis=1)
+            for s in range(0, u.size, 2048)
+        ]
+    )
     return np.minimum(idx, matrix.shape[1] - 1)
 
 
@@ -183,8 +195,10 @@ def run_simulation_per_trial(
     seed: int = 0,
     strategy: str | None = None,
 ) -> cp.SimulationReport:
-    """`run_simulation` with a decision, a correctness flag and each error
-    kept per trial, and the confusion counts binned by (target, decided)."""
+    """`run_simulation` with the gather sampler, a decision, a correctness
+    flag and each error kept per trial, and the confusion counts binned by
+    (target, decided). Decisions are `nearest_element_decision` at each bin
+    center."""
 
     n = len(layout.elements)
     by_id = solution.bins_by_element()
@@ -193,9 +207,9 @@ def run_simulation_per_trial(
 
     targets = rng.integers(n, size=trials)
     u = rng.random(trials)
-    perceived = sample_bins(model, bins[targets], u)
+    perceived = gather_sample_rows(model.matrix, bins[targets], u)
 
-    decided = cp.decision_by_bin(layout, model.bin_size_deg)[perceived]
+    decided = nearest_decisions(layout, model.bin_size_deg)[perceived]
     correct = decided == targets
     accuracy = float(correct.mean())
 
@@ -336,7 +350,7 @@ def expected_accuracy_per_element(
     """`expected_accuracy` with one boolean-mask row sum per element."""
 
     by_id = solution.bins_by_element()
-    decided = cp.decision_by_bin(layout, model.bin_size_deg)
+    decided = nearest_decisions(layout, model.bin_size_deg)
     per_element = [
         float(model.matrix[by_id[e.id], decided == i].sum()) for i, e in enumerate(layout.elements)
     ]

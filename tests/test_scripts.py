@@ -44,3 +44,13 @@ def test_compare_strategies_writes_csv(tmp_path):
     lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "layout,strategy,accuracy,stderr,exact_accuracy"
     assert len(lines) == 11
+
+
+def test_compare_strategies_at_zero_stderr(tmp_path):
+    # one trial per run: every accuracy is 0 or 1, so each gap's stderr is 0
+    done = run_script("compare_strategies.py", "--trials", "1", "--csv", "out.csv", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "n/a" in done.stdout
+    lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "layout,strategy,accuracy,stderr,exact_accuracy"
+    assert len(lines) == 11
