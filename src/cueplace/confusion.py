@@ -453,9 +453,11 @@ def calibrated_params(bin_size_deg: int = 12) -> SyntheticModelParams:
     )
 
 
-# Trials of `sample_bins` whose guide cell holds a CDF entry are searched
-# this many at a time, which bounds the search's working arrays.
-_SEARCH_BLOCK = 1 << 13
+# `sample_bins` searches the trials whose guide cell holds a CDF entry this
+# many trials at a time, which bounds the search's working arrays. Each of
+# `run_simulation`'s leaves (at most 2^14 trials unless n * B is more) is
+# then searched in one pass.
+_SEARCH_BLOCK = 1 << 14
 
 
 def _guide_cells(bin_count: int, trials_per_row: int) -> int:
@@ -468,14 +470,22 @@ def _guide_cells(bin_count: int, trials_per_row: int) -> int:
 
 
 def _build_guide(
-    model: ConfusionModel, rows: np.ndarray, cells: int
+    model: ConfusionModel, rows: np.ndarray, trials: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Guide table of `sample_bins` over K = `cells` cells for the given
-    model rows (repeats allowed): the rows' CDFs, the table, and the
-    binary-search steps its widest cell needs."""
+    """Guide table of `sample_bins` for the given model rows (repeats
+    allowed), serving `trials` draws in all.
+
+    It splits [0, 1) into K equal cells, K a power of two from
+    `_guide_cells(B, trials // rows.size)`, plus one cell for u >= 1, and
+    records per cell how many CDF entries of each row lie below the cell
+    and below its upper edge. Scaling by K is exact, so every entry falls
+    in its true cell. Returns the rows' CDFs, the table, and the
+    binary-search steps its widest cell needs.
+    """
 
     nb = model.bin_count
     r = rows.size
+    cells = _guide_cells(nb, trials // max(r, 1))
 
     # cdf[j, i] is entry j of row i. It is stored column by column with a
     # row of NaN after the last entry, so a search probe past the end of a
@@ -508,34 +518,30 @@ def _build_guide(
 
 
 def sample_bins(
-    model: ConfusionModel, rows: np.ndarray, row_index: np.ndarray, u: np.ndarray
+    guide: tuple[np.ndarray, np.ndarray, int], row_index: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Inverse-CDF draw of one perceived bin per trial.
 
-    The cue of trial k plays in bin `rows[row_index[k]]` (rows may repeat)
-    and is perceived in the bin numbered by how many of that row's CDF
-    entries are at or below the uniform `u[k]`, capped at the last bin. All
-    arguments are 1-d and `u` is non-negative; values at or past 1 are
-    allowed. The model keeps its entries non-negative, so each CDF is
-    non-decreasing.
+    `guide` is `_build_guide(model, rows, trials)`. The cue of trial k plays
+    in bin `rows[row_index[k]]` and is perceived in the bin numbered by how
+    many of that row's CDF entries are at or below the uniform `u[k]`,
+    capped at the last bin. Both arguments are 1-d and `u` is non-negative;
+    values at or past 1 are allowed. The model keeps its entries
+    non-negative, so each CDF is non-decreasing.
 
     The count is found by indexed search (Chen & Asau, AIIE Trans. 6(2),
     1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
-    For the given rows, a guide table splits [0, 1) into K equal cells, K a
-    power of two from `_guide_cells(B, u.size // rows.size)`, plus one cell
-    for u >= 1, and records per cell how many CDF entries lie below the
-    cell and below its upper edge. Scaling by K is exact, so every entry
-    and every uniform falls in its true cell. Where the two counts agree
-    (after the cap) the trial's answer is one table lookup; the other
-    trials are resolved by a binary search over the entries inside their
-    cell. The working memory is the rows' CDFs, the table and one
-    trial-length array, the result, allocated after the guide is built and
-    used first for the trials' cell indices.
+    A trial whose guide cell holds no CDF entry (after the cap) is answered
+    by one table lookup; the others are resolved by a binary search over
+    the entries inside their cell. The guide is built once and serves any
+    number of calls, so a caller can draw its trials block by block. Each
+    call's working memory is one trial-length array, the result, used
+    first for the trials' cell indices, and the search's arrays for at most
+    `_SEARCH_BLOCK` trials.
     """
 
-    nb, r = model.bin_count, rows.size
-    cells = _guide_cells(nb, u.size // max(r, 1))
-    cdf, table, steps = _build_guide(model, rows, cells)
+    cdf, table, steps = guide
+    cells, r = table.shape[0] - 1, table.shape[1]  # K: the last cell holds u >= 1
 
     out = np.multiply(u, cells, out=np.empty(u.size, np.intp), casting="unsafe")
     np.minimum(out, cells, out=out)
@@ -543,23 +549,39 @@ def sample_bins(
     out += row_index
     # Each trial reads its own cell index before its table entry overwrites it.
     np.take(table, out, out=out, mode="clip")
-    del table
 
-    # Binary lifting from the cell's first candidate entry: with jumps of
-    # 2^(steps-1), ..., 2, 1 entries, a jump is taken when the entry it lands
-    # on is <= u.
-    flat = cdf.ravel()
-    pending = np.flatnonzero(out < 0)
-    for lo in range(0, pending.size, _SEARCH_BLOCK):
-        trials = pending[lo : lo + _SEARCH_BLOCK]
-        pos = ~out.take(trials)  # count * r + row
-        draws = u.take(trials)
-        for s in reversed(range(steps)):
-            jump = 1 << s
-            hit = flat.take(pos + (jump - 1) * r, mode="clip") <= draws
-            np.add(pos, jump * r, out=pos, where=hit)
-        out[trials] = np.minimum(pos // r, nb - 1)
+    for lo in range(0, out.size, _SEARCH_BLOCK):
+        _search(cdf, steps, out[lo : lo + _SEARCH_BLOCK], u[lo : lo + _SEARCH_BLOCK])
     return out
+
+
+def _search(cdf: np.ndarray, steps: int, block: np.ndarray, u: np.ndarray) -> None:
+    """Settle the trials of one block of `sample_bins` whose guide cell
+    holds CDF entries, in place.
+
+    A negative entry of `block` is the complement of the flat position in
+    `cdf` of its trial's first candidate entry (count c of row i sits at
+    c * r + i); it becomes the trial's perceived bin. The binary search
+    jumps 2^(steps-1), ..., 2, 1 entries ahead, taking a jump when the
+    entry it lands on is <= u. `probe` is where the next jump lands: after
+    trying a jump of 2^s it moves 2^s - 2^(s-1) entries if the jump was
+    taken, else -2^(s-1). The working arrays are freed on return, so no
+    two blocks' arrays are alive at once.
+    """
+
+    nb, r = cdf.shape[0] - 1, cdf.shape[1]
+    flat = cdf.ravel()
+    trials = np.flatnonzero(block < 0)
+    probe = ~block.take(trials)
+    probe += ((1 << steps >> 1) - 1) * r
+    draws = u.take(trials)
+    entry, hit = np.empty_like(draws), np.empty(trials.size, bool)
+    for s in reversed(range(steps)):
+        np.less_equal(flat.take(probe, out=entry, mode="clip"), draws, out=hit)
+        np.add(probe, r << s, out=probe, where=hit)
+        probe -= (1 << s >> 1) * r
+    probe //= r  # the count of entries <= u
+    block[trials] = np.minimum(probe, nb - 1, out=probe)
 
 
 def diagonal_argmax_fraction(model: ConfusionModel) -> float:

@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .angles import angular_distance, bin_centers, mirror_front_back
-from .confusion import REGIONS, ConfusionModel, ModelFormatError, _regions_by_bin, sample_bins
+from .confusion import (
+    REGIONS,
+    ConfusionModel,
+    ModelFormatError,
+    _build_guide,
+    _regions_by_bin,
+    sample_bins,
+)
 from .layout import Layout
 from .placement import PlacementSolution
 
@@ -64,6 +71,36 @@ class SimulationReport:
         return gap, se
 
 
+# A run draws and reduces its trials in leaves of the summation tree of at
+# most this many trials (about 128 KB per trial-length array, which stays
+# in cache and in memory the process already holds), and never fewer than
+# the run's (target, percept) cells, so a leaf's histogram stays a small
+# part of its work.
+_LEAF_TRIALS = 1 << 14
+
+
+def _pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int):
+    """Sum over items lo..hi-1 added as NumPy's pairwise summation adds them.
+
+    NumPy's `add.reduce` of a contiguous float64 array (and so its `sum`
+    and `mean`) adds n items by `pairwise_sum` (numpy/_core/src/umath/
+    loops_utils.h.src): n <= 128 items in one fixed order, otherwise the
+    first n2 = n // 2 rounded down to a multiple of 8 and the rest
+    separately, and then those two sums. A subtree of at most `leaf` items
+    (`leaf` >= 128) is summed by `leaf_sum(lo, hi)`, which must return
+    what `np.add.reduce` gives for those items; the others add their halves'
+    sums the same way. The result equals `np.add.reduce` over all items bit
+    for bit (Higham, SIAM J. Sci. Comput. 14(4), 1993, describes the
+    method). Leaves are summed in ascending order.
+    """
+
+    if hi - lo <= leaf:
+        return leaf_sum(lo, hi)
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return _pairwise_sum(leaf_sum, lo, mid, leaf) + _pairwise_sum(leaf_sum, mid, hi, leaf)
+
+
 def run_simulation(
     solution: PlacementSolution,
     layout: Layout,
@@ -81,16 +118,21 @@ def run_simulation(
 
     A trial's outcome depends only on its (target, percept) cell, so no
     decision, correctness flag or error is kept per trial. The error
-    tables per (element, percept bin) are computed once, after the draw,
-    and the circular one also gives the decisions. Three trial-length
-    arrays hold the run: the targets, the uniforms and the percepts. The
-    percepts' buffer becomes the cells, whose histogram, with each
-    percept bin's column added to the column of the element it decides,
-    gives the confusion counts. The uniforms' buffer, spent once the
-    percepts are drawn, takes each trial's circular, adjusted and
-    cone-effect error in turn for the three means. A fresh array of this
-    size is often new memory from the operating system and costs a page
-    fault per 4 KB page, so the run allocates as few as it can.
+    tables per (element, percept bin) and the sampler's guide table are
+    built once; the circular table also gives the decisions. Only the
+    targets are trial-length. The other trials' arrays live for one leaf
+    of NumPy's pairwise-summation tree over the trials (see
+    `_pairwise_sum`), at most `_LEAF_TRIALS` trials or the run's n * B
+    cells if more. Each leaf, in ascending order, draws its uniforms from
+    the stream (the same numbers one call for all trials gives), samples
+    its percepts, turns them into cells, sums its trials' circular,
+    adjusted and cone-effect errors, and adds its cells to the (target,
+    percept) histogram. The leaf sums, added up the same tree, are the
+    sums `np.mean` of the per-trial errors would take, bit for bit. The
+    histogram, with each percept bin's column added to the column of the
+    element it decides, gives the confusion counts. Small leaves reuse
+    memory the process holds: a fresh trial-length array is often new
+    memory from the operating system and costs a page fault per 4 KB page.
     """
 
     if trials < 1:
@@ -98,18 +140,38 @@ def run_simulation(
     n, nb = len(layout.elements), model.bin_count
     rng = np.random.default_rng(seed)
     targets = rng.integers(n, size=trials)
-    u = rng.random(trials)
-
-    cell = sample_bins(model, _bins_in_layout_order(solution, layout), targets, u)
-    cell += np.multiply(targets, nb, out=targets)
-    del targets  # scaled in place, and its memory goes before the tables below
     circular, adjusted = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
     decided = np.argmin(circular, axis=0)  # `decision_by_bin`
+    guide = _build_guide(model, _bins_in_layout_order(solution, layout), trials)
+    hist = None
+
+    def leaf_sum(lo: int, hi: int) -> np.ndarray:
+        nonlocal hist
+        u = rng.random(hi - lo)
+        cell = sample_bins(guide, targets[lo:hi], u)
+        cell += np.multiply(targets[lo:hi], nb, out=targets[lo:hi])
+        # The uniforms are spent; their buffer takes the circular errors,
+        # and then the cone effects.
+        circ = np.take(circular, cell, out=u, mode="clip")
+        adj = np.take(adjusted, cell, mode="clip")
+        sum_circ, sum_adj = np.add.reduce(circ), np.add.reduce(adj)
+        sum_cone = np.add.reduce(np.subtract(circ, adj, out=circ))
+        del u, circ, adj  # before the histogram, keeping the peak low
+        counts = np.bincount(cell, minlength=n * nb)
+        if hist is None:
+            hist = counts
+        else:
+            hist += counts
+        return np.array([sum_circ, sum_adj, sum_cone])
+
+    sums = _pairwise_sum(leaf_sum, 0, trials, max(_LEAF_TRIALS, n * nb))
+    mean_circular, mean_adjusted, mean_cone = (sums / trials).tolist()
+    del targets, guide  # before the counts, keeping the peak low
 
     # Confusion counts: each percept bin's column of the (target, percept)
     # histogram added to its decided element's column, in exact integers.
     counts = np.zeros((n, n), dtype=np.intp)
-    np.add.at(counts.T, decided, np.bincount(cell, minlength=n * nb).reshape(n, nb).T)
+    np.add.at(counts.T, decided, hist.reshape(n, nb).T)
     counts.flags.writeable = False
     per_trials = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
@@ -117,13 +179,6 @@ def run_simulation(
     # The count of correct trials over the trials: what the mean of a 0/1
     # array per trial gives, since float sums of ones are exact.
     accuracy = float(np.trace(counts) / trials)
-
-    # The uniforms are spent; their buffer takes each trial's error in turn.
-    errors = u
-    mean_circular = float(np.take(circular, cell, out=errors, mode="clip").mean())
-    mean_adjusted = float(np.take(adjusted, cell, out=errors, mode="clip").mean())
-    cone = np.subtract(circular, adjusted, out=circular)
-    mean_cone = float(np.take(cone, cell, out=errors, mode="clip").mean())
 
     return SimulationReport(
         strategy=solution.solver if strategy is None else strategy,
@@ -191,7 +246,7 @@ def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int):
     rows = np.arange(model.bin_count)
     true_bins = np.repeat(rows, trials_per_bin)
     u = np.random.default_rng(seed).random(true_bins.size)
-    return true_bins, sample_bins(model, rows, true_bins, u)
+    return true_bins, sample_bins(_build_guide(model, rows, u.size), true_bins, u)
 
 
 def _regions_with_centers(bin_size_deg: int) -> np.ndarray:

@@ -13,11 +13,12 @@ import cueplace as cp
 from cueplace.confusion import (
     DEFAULT_REGION_BOUNDS,
     ModelFormatError,
+    _build_guide,
     _guide_cells,
     _regions_by_bin,
     sample_bins,
 )
-from cueplace.simulate import _regions_with_centers, expected_accuracy
+from cueplace.simulate import _LEAF_TRIALS, _pairwise_sum, _regions_with_centers, expected_accuracy
 from tests.conftest import random_layout
 from tests.oracles import (
     expected_accuracy_per_element,
@@ -98,11 +99,11 @@ class TestDecisionByBin:
 class TestSampler:
     @staticmethod
     def sample(model, true_bins, u):
-        """`sample_bins` over the rows the trials play, so its guide table has
-        the K that `searched` assumes."""
+        """`sample_bins` with a guide over the rows the trials play, so its
+        table has the K that `searched` assumes."""
 
         rows = np.unique(true_bins)
-        return sample_bins(model, rows, np.searchsorted(rows, true_bins), u)
+        return sample_bins(_build_guide(model, rows, u.size), np.searchsorted(rows, true_bins), u)
 
     @given(
         data=st.data(),
@@ -219,7 +220,7 @@ class TestSampler:
         u = np.random.default_rng(0).random(true_bins.size)
         tracemalloc.start()
         try:
-            sample_bins(model, np.arange(360), true_bins, u)
+            sample_bins(_build_guide(model, np.arange(360), u.size), true_bins, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,6 +324,40 @@ class TestRunSimulation:
         seed=4,
         azimuths=[6.0, 6.0, 174.0, 186.0, 90.0],
     )
+    # One leaf; two leaves, split at 8192; three leaves, two levels deep;
+    # and leaves of 18000, 9000 and 9001 trials set by n * B = 18000.
+    @example(
+        shape=(12, 12),
+        trials=_LEAF_TRIALS,
+        colocated=False,
+        kind="calibrated",
+        seed=5,
+        azimuths=None,
+    )
+    @example(
+        shape=(7, 3),
+        trials=_LEAF_TRIALS + 1,
+        colocated=True,
+        kind="calibrated",
+        seed=6,
+        azimuths=None,
+    )
+    @example(
+        shape=(12, 12),
+        trials=2 * _LEAF_TRIALS + 1,
+        colocated=False,
+        kind="calibrated",
+        seed=7,
+        azimuths=None,
+    )
+    @example(
+        shape=(50, 1),
+        trials=36_001,
+        colocated=False,
+        kind="calibrated",
+        seed=8,
+        azimuths=None,
+    )
     @settings(max_examples=120)
     def test_matches_per_trial_oracle(self, shape, trials, colocated, kind, seed, azimuths):
         # the colocated baseline repeats a bin when two elements share one
@@ -342,7 +377,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "n, bin_size, bound",
         [
-            (12, 12, 2_000_000),  # the per-trial version peaked at 3.26 MB
+            (12, 12, 1_000_000),  # the per-trial version peaked at 3.26 MB
             (300, 1, 5_400_000),  # and here at 5.72 MB
         ],
     )
@@ -357,6 +392,34 @@ class TestRunSimulation:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+class TestPairwiseSum:
+    """`_pairwise_sum` must add as NumPy's `add.reduce` does, or the error
+    means of `run_simulation` move in their last bits."""
+
+    @staticmethod
+    def lengths(rng):
+        edges = {2**k + d for k in range(1, 19) for d in (-1, 0, 1)}
+        leaves = {
+            k * leaf + d for leaf in (_LEAF_TRIALS, 18_000) for k in (1, 2, 3) for d in (-1, 0, 1)
+        }
+        drawn = np.exp(rng.uniform(0.0, np.log(300_000), 200)).astype(int)
+        return sorted({1, 7, 8, 9, 127, 128, 129, 300_000, *edges, *leaves, *drawn.tolist()})
+
+    @pytest.mark.parametrize("leaf", [_LEAF_TRIALS, 18_000, 128])
+    def test_equals_add_reduce(self, leaf):
+        # magnitudes spread over 16 decades, so another order changes the bits
+        rng = np.random.default_rng(leaf)
+        for size in self.lengths(rng):
+            a = rng.random(size) * 10.0 ** rng.integers(-8, 8, size)
+            got = _pairwise_sum(lambda lo, hi: np.add.reduce(a[lo:hi]), 0, size, leaf)
+            assert repr(got) == repr(np.add.reduce(a)), size
+
+    def test_leaves_ascend_and_tile(self):
+        seen = []
+        _pairwise_sum(lambda lo, hi: seen.append((lo, hi)) or 0.0, 0, 50_000, _LEAF_TRIALS)
+        assert seen == [(0, 12496), (12496, 25000), (25000, 37496), (37496, 50000)]
 
 
 class TestExpectedAccuracy:
