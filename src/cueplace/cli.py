@@ -56,7 +56,7 @@ def _emit_json(obj, out: str) -> None:
 def _solution_dict(
     solution: PlacementSolution, bin_size_deg: int, weights: Weights, cone_rule: str, max_disp
 ) -> dict:
-    d = {
+    return {
         "solver": solution.solver,
         "objective": solution.objective,
         "cut_rotation": solution.cut_rotation,
@@ -76,9 +76,6 @@ def _solution_dict(
             for a in solution.assignments
         ],
     }
-    if solution.warning is not None:
-        d["warning"] = solution.warning
-    return d
 
 
 def _parse_weights(text: str) -> Weights:

@@ -174,8 +174,7 @@ def run_simulation(
     np.add.at(counts.T, decided, hist.reshape(n, nb).T)
     counts.flags.writeable = False
     per_trials = counts.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_acc = np.where(per_trials > 0, np.diag(counts) / np.maximum(per_trials, 1), np.nan)
+    per_acc = np.where(per_trials > 0, np.diag(counts) / np.maximum(per_trials, 1), np.nan)
     # The count of correct trials over the trials: what the mean of a 0/1
     # array per trial gives, since float sums of ones are exact.
     accuracy = float(np.trace(counts) / trials)
@@ -238,15 +237,18 @@ def _errors_by_bin(target_az: np.ndarray, bin_size_deg: int) -> tuple[np.ndarray
     return circular, np.minimum(circular, mirrored, out=mirrored)
 
 
-def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int):
-    """True and perceived bin of `trials_per_bin` trials per true bin."""
+def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int) -> np.ndarray:
+    """Perceived bins of `trials_per_bin` trials per true bin, as a
+    (bins, trials_per_bin) array: row t holds true bin t's trials in draw
+    order."""
 
     if trials_per_bin < 1:
         raise ValueError(f"trials_per_bin must be >= 1, got {trials_per_bin}")
     rows = np.arange(model.bin_count)
     true_bins = np.repeat(rows, trials_per_bin)
     u = np.random.default_rng(seed).random(true_bins.size)
-    return true_bins, sample_bins(_build_guide(model, rows, u.size), true_bins, u)
+    perceived = sample_bins(_build_guide(model, rows, u.size), true_bins, u)
+    return perceived.reshape(rows.size, trials_per_bin)
 
 
 def _regions_with_centers(bin_size_deg: int) -> np.ndarray:
@@ -275,7 +277,7 @@ def table1_statistics(
     at least 2 trials.
     """
 
-    true_bins, perceived = _trials_by_bin(model, trials_per_bin, seed)
+    perceived = _trials_by_bin(model, trials_per_bin, seed)
     by_bin = _regions_with_centers(model.bin_size_deg)
     for name in REGIONS:
         if trials_per_bin * np.count_nonzero(by_bin == name) < 2:
@@ -285,17 +287,15 @@ def table1_statistics(
             )
     centers = bin_centers(model.bin_size_deg)
     circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
-    cell = true_bins * model.bin_count + perceived
-    circular, adjusted = circ_by_bin.take(cell), adj_by_bin.take(cell)
+    circular = np.take_along_axis(circ_by_bin, perceived, axis=1)
+    adjusted = np.take_along_axis(adj_by_bin, perceived, axis=1)
     cone = circular - adjusted
 
+    # A region's trials are its bins' rows, in draw order.
     out: dict[str, LocalizationStats] = {}
     for name in (*REGIONS, "all"):
-        if name == "all":
-            c, a, k = circular, adjusted, cone
-        else:
-            m = (by_bin == name).take(true_bins)
-            c, a, k = circular[m], adjusted[m], cone[m]
+        rows = slice(None) if name == "all" else by_bin == name
+        c, a, k = circular[rows], adjusted[rows], cone[rows]
         out[name] = LocalizationStats(
             circular_mean=float(c.mean()),
             circular_sd=float(c.std(ddof=1)),
@@ -324,8 +324,8 @@ def expected_localization_errors(model: ConfusionModel) -> dict[str, dict[str, f
 
     out: dict[str, dict[str, float]] = {}
     for name in (*REGIONS, "all"):
-        m = regions == name if name != "all" else np.ones_like(e_circ, dtype=bool)
-        circ, adj = float(e_circ[m].mean()), float(e_adj[m].mean())
+        rows = slice(None) if name == "all" else regions == name
+        circ, adj = float(e_circ[rows].mean()), float(e_adj[rows].mean())
         out[name] = {"circular": circ, "adjusted": adj, "cone_effect": circ - adj}
     return out
 
@@ -339,9 +339,9 @@ def dump_trials(
     `model_from_trials` on the output reconstructs an estimate of the model.
     """
 
-    true_bins, perceived = _trials_by_bin(model, trials_per_bin, seed)
+    perceived = _trials_by_bin(model, trials_per_bin, seed)
     centers = bin_centers(model.bin_size_deg)
-    true_az, perceived_az = centers[true_bins], centers[perceived]
+    true_az, perceived_az = np.repeat(centers, trials_per_bin), centers[perceived.ravel()]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["true_azimuth_deg", "predicted_azimuth_deg"])

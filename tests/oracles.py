@@ -278,8 +278,9 @@ def brute_force_solve(
 ) -> cp.PlacementSolution:
     """Exhaustive reference solver; `solve` must agree including tie-break.
 
-    Refuses instances beyond n=5 elements or 36 bins to bound the
-    enumeration.
+    Masks the cells beyond `max_displacement_deg` one at a time, so the
+    library's vectorized mask is checked too. Refuses instances beyond n=5
+    elements or 36 bins to bound the enumeration.
     """
 
     _check_instance(scores)
@@ -289,7 +290,18 @@ def brute_force_solve(
             f"instance too large for brute force (n={n}, bins={bins}); "
             f"limits are n<={BRUTE_FORCE_MAX_ELEMENTS}, bins<={BRUTE_FORCE_MAX_BINS}"
         )
-    order, q = _ordered_quantized(scores, max_displacement_deg)
+    order, q = _ordered_quantized(scores, None)
+    if max_displacement_deg is not None:
+        if not max_displacement_deg >= 0:
+            raise ValueError(
+                f"max_displacement_deg must be a non-negative number, got {max_displacement_deg!r}"
+            )
+        size = scores.model.bin_size_deg
+        for row, i in enumerate(order):
+            v = float(scores.layout.visual_azimuths[i])
+            for s in range(bins):
+                if angular_distance(bin_center(s, size), v) > max_displacement_deg:
+                    q[row, s] = MASKED
     combos = _combos(bins, n)
     pos = np.arange(bins)
     best = np.int64(MASKED) * n

@@ -159,13 +159,32 @@ class TestDisplacementLimit:
                 assert cp.angular_distance(a.sound_azimuth_deg, a.visual_azimuth_deg) <= 30.0
 
     def test_matches_brute_force_under_limit(self, identity):
+        # a cap equal to a cell's exact distance keeps that cell: the
+        # oracle's scalar mask checks the solver's at its boundary
         rng = np.random.default_rng(13)
-        for _ in range(10):
-            scores = random_scores(rng, 3, identity)
-            dp = cp.solve(scores, max_displacement_deg=40.0)
-            bf = brute_force_solve(scores, max_displacement_deg=40.0)
-            assert dp.objective == bf.objective
-            assert [a.sound_bin for a in dp.assignments] == [a.sound_bin for a in bf.assignments]
+        infeasible = 0
+        for k in range(60):
+            scores = random_scores(rng, k % 4 + 1, identity)
+            vis = scores.layout.visual_azimuths
+            exact = [
+                cp.angular_distance(cp.bin_center(int(s), 12), float(vis[i]))
+                for s, i in zip(rng.integers(30, size=2), rng.integers(len(vis), size=2))
+            ]
+            for cap in (40.0, *exact):
+                try:
+                    dp = cp.solve(scores, max_displacement_deg=cap)
+                except InfeasibleLayoutError:
+                    with pytest.raises(InfeasibleLayoutError):
+                        brute_force_solve(scores, max_displacement_deg=cap)
+                    infeasible += 1
+                    continue
+                bf = brute_force_solve(scores, max_displacement_deg=cap)
+                assert dp.objective == bf.objective
+                assert dp.cut_rotation == bf.cut_rotation
+                assert [a.sound_bin for a in dp.assignments] == [
+                    a.sound_bin for a in bf.assignments
+                ]
+        assert 0 < infeasible < 30
 
     def test_infeasible_when_limit_too_tight(self, identity):
         lay = cp.Layout((cp.Element("a", 5.9), cp.Element("b", 6.1)))

@@ -119,6 +119,9 @@ MODELS = {
     12: cp.synthesize_model(cp.calibrated_params(12)),
     3: cp.synthesize_model(cp.calibrated_params(3)),
     30: cp.identity_model(30),
+    # odd bin counts (45, 15): a center's mirror lands on a bin edge
+    8: cp.synthesize_model(cp.calibrated_params(8)),
+    24: cp.synthesize_model(cp.calibrated_params(24)),
 }
 # Bin centers and edges, the interaural axis, and a mirror pair, so that
 # exact ties between elements and between a point and its mirror occur.

@@ -87,7 +87,7 @@ class TestDecisionByBin:
             min_size=1,
             max_size=10,
         ),
-        bin_size=st.sampled_from([1, 3, 12, 30]),
+        bin_size=st.sampled_from([1, 3, 12, 30, 8, 24]),
     )
     @settings(max_examples=100)
     def test_matches_per_percept_oracle(self, az, bin_size):
@@ -226,6 +226,18 @@ class TestSampler:
             tracemalloc.stop()
         assert peak <= 2_550_000
 
+    def test_table1_memory_at_finest_bins(self):
+        # the draw, the B x B error tables and one region's rows; trial-length
+        # cells and region masks next to them reach 6.48 MB
+        model = cp.synthesize_model(cp.calibrated_params(1))
+        tracemalloc.start()
+        try:
+            cp.table1_statistics(model, trials_per_bin=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_600_000
+
 
 class TestRunSimulation:
     def test_identity_model_is_perfect(self, identity):
@@ -293,7 +305,7 @@ class TestRunSimulation:
 
     @given(
         shape=st.one_of(
-            st.tuples(st.integers(1, 12), st.sampled_from([12, 3])),  # B = 30, 120
+            st.tuples(st.integers(1, 12), st.sampled_from([12, 3, 8, 24])),  # B = 30, 120, 45, 15
             st.sampled_from([(100, 3), (300, 1)]),
         ),
         trials=st.sampled_from([1, 7, 8, 129, 4097, 50_000]),
@@ -438,7 +450,7 @@ class TestExpectedAccuracy:
             min_size=1,
             max_size=12,
         ),
-        bin_size=st.sampled_from([12, 30, 45]),
+        bin_size=st.sampled_from([12, 30, 45, 8, 24]),
         calibrated=st.booleans(),
     )
     @settings(max_examples=80)
@@ -559,7 +571,7 @@ class TestTable1Statistics:
         assert all(math.isfinite(v) for s in stats.values() for v in vars(s).values())
 
     @given(
-        bin_size=st.sampled_from([3, 12, 30]),
+        bin_size=st.sampled_from([3, 12, 30, 8, 24]),
         trials_per_bin=st.integers(2, 40),
         seed=st.integers(0, 2**32 - 1),
     )
