@@ -6,6 +6,8 @@ Azimuths are degrees on the horizontal circle: 0 front, 90 right, 180 back,
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -23,7 +25,7 @@ def normalize(degrees):
     """Normalize angle(s) to [0, 360). Rejects non-finite input."""
 
     a = np.asarray(degrees, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"azimuth must be finite, got {degrees!r}")
     out = np.mod(a, 360.0)
     # mod of a tiny negative rounds to 360.0 exactly; fold it back
@@ -86,3 +88,26 @@ def bin_centers(bin_size_deg: int) -> np.ndarray:
 
     size = _check_bin_size(bin_size_deg)
     return (np.arange(360 // size, dtype=float) + 0.5) * size
+
+
+@lru_cache(maxsize=None)  # one entry per divisor of 360 at most
+def _bin_tables(bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `bin_centers` and their front-back mirrors, once per size."""
+
+    centers = bin_centers(bin_size_deg)
+    mirrored = mirror_front_back(centers)
+    centers.flags.writeable = mirrored.flags.writeable = False
+    return centers, mirrored
+
+
+def _distance_tables(azimuths: np.ndarray, bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Circular and front-back-adjusted distance from each normalized azimuth
+    (rows) to each bin center (columns): `angular_distance` to the center,
+    and the smaller of that and the distance to the center's mirror."""
+
+    centers, mirrored = _bin_tables(bin_size_deg)
+    circular, adjusted, spare = (np.empty((azimuths.size, centers.size)) for _ in range(3))
+    for out, points in ((circular, centers), (adjusted, mirrored)):
+        np.abs(np.subtract(azimuths[:, None], points, out=out), out=out)
+        np.minimum(out, np.subtract(360.0, out, out=spare), out=out)
+    return circular, np.minimum(circular, adjusted, out=adjusted)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .angles import normalize
+from .angles import _check_bin_size, _distance_tables, normalize
 
 # Spread applied to coinciding visual azimuths so the ordering constraints
 # see a strict order; small enough to be perceptually meaningless.
@@ -20,27 +22,45 @@ class LayoutError(ValueError):
     """Raised when a layout fails validation or parsing."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     id: str
     visual_azimuth_deg: float
     elevation_deg: float = 0.0
 
 
+class Geometry(NamedTuple):
+    """A layout's listener geometry at one bin size, in read-only arrays:
+    `circular[i, p]` is the arc from element i to bin p's center,
+    `adjusted[i, p]` the smaller of that and the arc to the center's
+    front-back mirror, and `decided[p]` the element nearest that center,
+    the earliest on ties. `by_element` lists the bins grouped by deciding
+    element, ascending within a group; element i's group ends at `ends[i]`.
+    """
+
+    circular: np.ndarray
+    adjusted: np.ndarray
+    decided: np.ndarray
+    by_element: np.ndarray
+    ends: tuple[int, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class Layout:
     """Ordered collection of visual elements; order is the input order.
 
-    Azimuths are normalized and de-conflicted at construction: elements
-    sharing an azimuth are spread DECONFLICT_STEP_DEG apart in id order,
-    centered on the shared azimuth. Should a spread land on another
-    element's azimuth, the colliding groups spread together around their
-    mean, so every element ends with a distinct angle.
+    Angles must be finite real numbers, not bools or strings. Azimuths are
+    normalized and de-conflicted at construction: elements sharing an
+    azimuth are spread DECONFLICT_STEP_DEG apart in id order, centered on
+    the shared azimuth. Should a spread land on another element's azimuth,
+    the colliding groups spread together around their mean, so every
+    element ends with a distinct angle.
     """
 
     elements: tuple[Element, ...]
     _azimuths: np.ndarray = field(init=False, repr=False)
     _order: tuple[int, ...] = field(init=False, repr=False)
+    _geometry: dict[int, Geometry] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if len(self.elements) < 1:
@@ -74,14 +94,41 @@ class Layout:
 
         return list(self._order)
 
+    def geometry(self, bin_size_deg: int) -> Geometry:
+        """The layout's `Geometry` at a bin size, built on first use and
+        kept with the layout."""
+
+        size = _check_bin_size(bin_size_deg)
+        if size not in self._geometry:
+            circular, adjusted = _distance_tables(self._azimuths, size)
+            decided = np.argmin(circular, axis=0)
+            tables = (circular, adjusted, decided, np.argsort(decided, kind="stable"))
+            for table in tables:
+                table.flags.writeable = False
+            ends = np.cumsum(np.bincount(decided, minlength=len(self))).tolist()
+            self._geometry[size] = Geometry(*tables, tuple(ends))
+        return self._geometry[size]
+
+
+def _angle(eid, name: str, value) -> float:
+    """`value` as a float if it is a finite real number (an int, a float or a
+    NumPy scalar, not a bool or a str), else a LayoutError naming the element."""
+
+    # float and int first: an ABC check alone takes about a microsecond
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise LayoutError(f"{name} of {eid!r} must be a number, got {value!r}")
+    try:
+        angle = float(value)
+    except OverflowError:  # an int past the float range, as infinite as 1e999
+        angle = math.inf
+    if not math.isfinite(angle):
+        raise LayoutError(f"{name} of {eid!r} must be finite, got {value!r}")
+    return angle
+
 
 def _deconflict(elements) -> tuple[Element, ...]:
-    raw = np.array([e.visual_azimuth_deg for e in elements], dtype=float)
-    finite = np.isfinite(raw)
-    if not finite.all():
-        e = elements[int(np.argmin(finite))]
-        raise LayoutError(f"azimuth_deg of {e.id!r} must be finite, got {e.visual_azimuth_deg!r}")
-    az = normalize(raw).tolist()
+    az = normalize([_angle(e.id, "azimuth_deg", e.visual_azimuth_deg) for e in elements]).tolist()
+    elevations = [_angle(e.id, "elevation_deg", e.elevation_deg) for e in elements]
     ids = [e.id for e in elements]
     # Elements sharing an angle form a cluster that is spread apart. A spread
     # can land on another element's angle; the clusters involved then merge
@@ -99,7 +146,13 @@ def _deconflict(elements) -> tuple[Element, ...]:
                 target = min(merged)
                 cluster_of = [target if c in merged else c for c in cluster_of]
         pos = _spread(az, ids, cluster_of)
-    return tuple(Element(e.id, p, float(e.elevation_deg)) for e, p in zip(elements, pos))
+    # An element already holding its final float angles is kept; 0 < p tells
+    # an input -0.0 from the 0.0 it normalizes to.
+    floats = [type(e.visual_azimuth_deg) is float is type(e.elevation_deg) for e in elements]
+    return tuple(
+        e if kept and 0.0 < p == e.visual_azimuth_deg else Element(e.id, p, el)
+        for e, p, el, kept in zip(elements, pos, elevations, floats)
+    )
 
 
 def _spread(az: list[float], ids: list[str], cluster_of: list[int]) -> list[float]:
@@ -152,19 +205,8 @@ def _element_from_dict(item) -> Element:
     eid = item["id"]
     if not isinstance(eid, str):
         raise LayoutError(f"id must be a string, got {eid!r}")
-    angles = []
-    for name in ("azimuth_deg", "elevation_deg"):
-        value = item.get(name, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise LayoutError(f"{name} of {eid!r} must be a number, got {value!r}")
-        try:
-            angle = float(value)
-        except OverflowError:  # an int past the float range, as infinite as 1e999
-            angle = math.inf
-        if not math.isfinite(angle):
-            raise LayoutError(f"{name} of {eid!r} must be finite, got {value!r}")
-        angles.append(angle)
-    return Element(eid, *angles)
+    azimuth = _angle(eid, "azimuth_deg", item["azimuth_deg"])
+    return Element(eid, azimuth, _angle(eid, "elevation_deg", item.get("elevation_deg", 0.0)))
 
 
 def load_layout(path: str | Path) -> Layout:

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .angles import angular_distance, bin_center, bin_centers, bin_of
+from .angles import _bin_tables
 from .scoring import ScoreMatrix
 
 # Relative quantization grid for exact integer comparisons. One part in
@@ -48,7 +49,7 @@ class InfeasibleLayoutError(ValueError):
     """No feasible assignment exists for the given instance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     id: str
     sound_bin: int
@@ -81,19 +82,18 @@ def _ordered_quantized(scores: ScoreMatrix, max_displacement_deg: float | None):
     """Integer scores in circular element order, far bins masked if asked."""
 
     order = scores.layout.circular_order()
-    s = scores.values[order].astype(float)
-    if not np.all(np.isfinite(s)):
+    s = scores.values[order].astype(float, copy=False)
+    if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
     limit = float(np.abs(s).max(initial=1.0))
-    q = np.rint(s * ((1 << QUANT_BITS) / limit)).astype(np.int64)
+    q = np.rint(np.multiply(s, (1 << QUANT_BITS) / limit, out=s), out=s).astype(np.int64)
     if max_displacement_deg is not None:
         if math.isnan(max_displacement_deg) or max_displacement_deg < 0:
             raise ValueError(
                 f"max_displacement_deg must be a non-negative number, got {max_displacement_deg!r}"
             )
-        centers = bin_centers(scores.model.bin_size_deg)
-        vis = scores.layout.visual_azimuths[order]
-        far = angular_distance(centers[None, :], vis[:, None]) > max_displacement_deg
+        circular = scores.layout.geometry(scores.model.bin_size_deg).circular
+        far = circular[order] > max_displacement_deg
         q = np.where(far, np.int64(MASKED), q)
     return order, q
 
@@ -126,16 +126,10 @@ def _finish(
     n = len(order)
     bins = np.empty(n, dtype=int)
     bins[order] = bins_in_order
-    centers = bin_center(bins, scores.model.bin_size_deg).tolist()
+    centers = _bin_tables(scores.model.bin_size_deg)[0][bins].tolist()
     per_score = scores.values[np.arange(n), bins].astype(float).tolist()
     assignments = tuple(
-        Assignment(
-            id=e.id,
-            sound_bin=b,
-            sound_azimuth_deg=c,
-            visual_azimuth_deg=e.visual_azimuth_deg,
-            elevation_deg=e.elevation_deg,
-        )
+        Assignment(e.id, b, c, e.visual_azimuth_deg, e.elevation_deg)
         for e, b, c in zip(layout.elements, bins.tolist(), centers)
     )
     return PlacementSolution(
@@ -165,8 +159,7 @@ def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> Pla
     # f[r, k]: best path value with element j at rotated position j + k under
     # cut r; the other positions leave too few bins before or after j. Element
     # j at j + k follows element j - 1 at any j - 1 + k' with k' <= k.
-    pos = np.arange(bins)
-    orig_by_cut = (pos[:, None] + pos[None, :]) % bins
+    orig_by_cut = _orig_by_cut(bins)
     f = q[0].take(orig_by_cut[:, :width])
     for j in range(1, n):
         f = q[j].take(orig_by_cut[:, j : j + width]) + np.maximum.accumulate(f, axis=1)
@@ -175,6 +168,15 @@ def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> Pla
     if per_cut_best[cut] <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
     return _finish(scores, order, _extract_lex_min(q, cut), "dp_exact", cut)
+
+
+@lru_cache(maxsize=32)  # a model has one of the 24 bin counts that divide 360
+def _orig_by_cut(bins: int) -> np.ndarray:
+    """Read-only table of the original bin (k + r) mod bins at rotated position k, cut r."""
+
+    table = np.add.outer(np.arange(bins), np.arange(bins)) % bins
+    table.flags.writeable = False
+    return table
 
 
 def _extract_lex_min(q: np.ndarray, cut: int) -> list[int]:
@@ -192,7 +194,7 @@ def _extract_lex_min(q: np.ndarray, cut: int) -> list[int]:
 
     n, bins = q.shape
     width = bins - n + 1
-    orig = (np.arange(bins) + cut) % bins
+    orig = _orig_by_cut(bins)[cut]
     # columns reversed (band column k at width - 1 - k) so suffix maxima are
     # prefix maxima
     cols = orig[np.arange(n)[:, None] + np.arange(width - 1, -1, -1)[None, :]]
@@ -220,7 +222,8 @@ def colocated_solution(scores: ScoreMatrix) -> PlacementSolution:
     _check_instance(scores)
     layout = scores.layout
     order = layout.circular_order()
-    bins_in_order = bin_of(layout.visual_azimuths[order], scores.model.bin_size_deg)
+    # the azimuths are normalized, so floor division gives their bins
+    bins_in_order = (layout.visual_azimuths[order] // scores.model.bin_size_deg).astype(int)
     warning = None
     if len(set(bins_in_order.tolist())) != len(bins_in_order):
         warning = "degenerate baseline: multiple elements share a visual bin"

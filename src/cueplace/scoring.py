@@ -14,7 +14,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .angles import angular_distance, bin_centers, bin_of, mirror_front_back
+from .angles import _bin_tables, angular_distance
 from .confusion import ConfusionModel
 from .layout import Layout
 
@@ -73,7 +73,8 @@ def build_score_matrix(
 
     if cone_rule not in get_args(ConeRule):
         raise ValueError(f"unknown cone rule {cone_rule!r}")
-    v_bins = bin_of(layout.visual_azimuths, model.bin_size_deg)
+    # the azimuths are normalized, so floor division gives their bins
+    v_bins = (layout.visual_azimuths // model.bin_size_deg).astype(int)
     blur = model.matrix.T[v_bins]
     cone = _cone_distances(layout, model.bin_size_deg, cone_rule)
     with np.errstate(over="ignore"):
@@ -97,13 +98,13 @@ def _cone_distances(layout: Layout, bin_size_deg: int, cone_rule: ConeRule) -> n
     """
 
     vis = layout.visual_azimuths
-    centers = bin_centers(bin_size_deg)
     if vis.size == 1:
-        return np.full((1, centers.size), MAX_CONE_DISTANCE_DEG)
-    d = angular_distance(mirror_front_back(centers)[:, None], vis[None, :])
+        return np.full((1, _bin_tables(bin_size_deg)[0].size), MAX_CONE_DISTANCE_DEG)
     if cone_rule == "point-plus-mirror":
-        d = np.minimum(d, angular_distance(centers[:, None], vis[None, :]))
-    nearest = np.argmin(d, axis=1)
-    two = np.partition(d, 1, axis=1)
+        d = layout.geometry(bin_size_deg).adjusted
+    else:
+        d = angular_distance(vis[:, None], _bin_tables(bin_size_deg)[1])
+    nearest = np.argmin(d, axis=0)
+    two = np.partition(d, 1, axis=0)
     is_nearest = np.arange(vis.size)[:, None] == nearest[None, :]
-    return np.where(is_nearest, two[:, 1], two[:, 0])
+    return np.where(is_nearest, two[1], two[0])

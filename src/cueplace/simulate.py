@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angles import angular_distance, bin_centers, mirror_front_back
+from .angles import _bin_tables, _distance_tables, bin_centers
 from .confusion import (
     REGIONS,
     ConfusionModel,
@@ -30,14 +30,13 @@ from .placement import PlacementSolution
 
 
 def decision_by_bin(layout: Layout, bin_size_deg: int) -> np.ndarray:
-    """Element the listener picks for a percept in each bin.
+    """Element the listener picks for a percept in each bin, read-only.
 
     Percepts are bin centers; the decision is the element whose visual
     azimuth is nearest, ties going to the earliest element in layout order.
     """
 
-    centers = bin_centers(bin_size_deg)
-    return np.argmin(angular_distance(centers[:, None], layout.visual_azimuths[None, :]), axis=1)
+    return layout.geometry(bin_size_deg).decided
 
 
 def _bins_in_layout_order(solution: PlacementSolution, layout: Layout) -> np.ndarray:
@@ -118,10 +117,10 @@ def run_simulation(
 
     A trial's outcome depends only on its (target, percept) cell, so no
     decision, correctness flag or error is kept per trial. The error
-    tables per (element, percept bin) and the sampler's guide table are
-    built once; the circular table also gives the decisions. Only the
-    targets are trial-length. The other trials' arrays live for one leaf
-    of NumPy's pairwise-summation tree over the trials (see
+    tables per (element, percept bin) and the decisions come from the
+    layout's `geometry`; the sampler's guide table is built once per run.
+    Only the targets are trial-length. The other trials' arrays live for
+    one leaf of NumPy's pairwise-summation tree over the trials (see
     `_pairwise_sum`), at most `_LEAF_TRIALS` trials or the run's n * B
     cells if more. Each leaf, in ascending order, draws its uniforms from
     the stream (the same numbers one call for all trials gives), samples
@@ -129,10 +128,10 @@ def run_simulation(
     adjusted and cone-effect errors, and adds its cells to the (target,
     percept) histogram. The leaf sums, added up the same tree, are the
     sums `np.mean` of the per-trial errors would take, bit for bit. The
-    histogram, with each percept bin's column added to the column of the
-    element it decides, gives the confusion counts. Small leaves reuse
-    memory the process holds: a fresh trial-length array is often new
-    memory from the operating system and costs a page fault per 4 KB page.
+    histogram, with each percept bin's cells added to those of the element
+    it decides, gives the confusion counts. Small leaves reuse memory the
+    process holds: a fresh trial-length array is often new memory from the
+    operating system and costs a page fault per 4 KB page.
     """
 
     if trials < 1:
@@ -140,8 +139,7 @@ def run_simulation(
     n, nb = len(layout.elements), model.bin_count
     rng = np.random.default_rng(seed)
     targets = rng.integers(n, size=trials)
-    circular, adjusted = _errors_by_bin(layout.visual_azimuths, model.bin_size_deg)
-    decided = np.argmin(circular, axis=0)  # `decision_by_bin`
+    circular, adjusted, decided = layout.geometry(model.bin_size_deg)[:3]
     guide = _build_guide(model, _bins_in_layout_order(solution, layout), trials)
     hist = None
 
@@ -168,10 +166,11 @@ def run_simulation(
     mean_circular, mean_adjusted, mean_cone = (sums / trials).tolist()
     del targets, guide  # before the counts, keeping the peak low
 
-    # Confusion counts: each percept bin's column of the (target, percept)
-    # histogram added to its decided element's column, in exact integers.
+    # Confusion counts: each (target, percept) cell of the histogram added to
+    # its (target, decided element) cell, in exact integers. Flat contiguous
+    # operands take NumPy's fast `add.at` path.
     counts = np.zeros((n, n), dtype=np.intp)
-    np.add.at(counts.T, decided, hist.reshape(n, nb).T)
+    np.add.at(counts.ravel(), (np.arange(0, n * n, n)[:, None] + decided).ravel(), hist)
     counts.flags.writeable = False
     per_trials = counts.sum(axis=1)
     per_acc = np.where(per_trials > 0, np.diag(counts) / np.maximum(per_trials, 1), np.nan)
@@ -203,14 +202,12 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     """
 
     bins = _bins_in_layout_order(solution, layout)
-    # Bins grouped by decided element: the sort is stable, so bins ascend
-    # within a group and its sum adds the values in the order a mask would.
-    decided = decision_by_bin(layout, model.bin_size_deg)
-    by_element = np.argsort(decided, kind="stable")
-    ends = np.cumsum(np.bincount(decided, minlength=len(layout.elements))).tolist()
-    rows = model.matrix[bins[:, None], by_element[None, :]]
-    per_element = [float(rows[i, lo:hi].sum()) for i, (lo, hi) in enumerate(zip([0, *ends], ends))]
-    return float(np.mean(per_element))
+    # Bins grouped by decided element, ascending within a group, so each
+    # sum adds the values in the order a mask would.
+    *_, by_element, ends = layout.geometry(model.bin_size_deg)
+    rows = model.matrix.take(bins, axis=0).take(by_element, axis=1)
+    per_element = [np.add.reduce(row[lo:hi]) for row, lo, hi in zip(rows, (0, *ends), ends)]
+    return float(np.add.reduce(per_element) / len(per_element))  # as `np.mean` divides
 
 
 @dataclass(frozen=True)
@@ -224,17 +221,6 @@ class LocalizationStats:
     cone_effect_mean: float
     cone_effect_sd: float
     trials: int
-
-
-def _errors_by_bin(target_az: np.ndarray, bin_size_deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Circular and front-back-adjusted error of a percept at each bin center
-    (columns) from each target azimuth (rows): the distance to the center,
-    and the smaller of that and the distance to the center's mirror."""
-
-    centers = bin_centers(bin_size_deg)
-    circular = angular_distance(target_az[:, None], centers[None, :])
-    mirrored = angular_distance(target_az[:, None], mirror_front_back(centers)[None, :])
-    return circular, np.minimum(circular, mirrored, out=mirrored)
 
 
 def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int) -> np.ndarray:
@@ -285,8 +271,8 @@ def table1_statistics(
                 f"region {name!r} holds one bin, so {trials_per_bin} trial per bin leaves "
                 "its SDs undefined; trials_per_bin must be >= 2"
             )
-    centers = bin_centers(model.bin_size_deg)
-    circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
+    centers = _bin_tables(model.bin_size_deg)[0]  # [true, perceived]
+    circ_by_bin, adj_by_bin = _distance_tables(centers, model.bin_size_deg)
     circular = np.take_along_axis(circ_by_bin, perceived, axis=1)
     adjusted = np.take_along_axis(adj_by_bin, perceived, axis=1)
     cone = circular - adjusted
@@ -316,8 +302,8 @@ def expected_localization_errors(model: ConfusionModel) -> dict[str, dict[str, f
     Every region needs a bin center.
     """
 
-    centers = bin_centers(model.bin_size_deg)
-    circ_by_bin, adj_by_bin = _errors_by_bin(centers, model.bin_size_deg)  # [true, perceived]
+    centers = _bin_tables(model.bin_size_deg)[0]  # [true, perceived]
+    circ_by_bin, adj_by_bin = _distance_tables(centers, model.bin_size_deg)
     e_circ = (model.matrix * circ_by_bin).sum(axis=1)
     e_adj = (model.matrix * adj_by_bin).sum(axis=1)
     regions = _regions_with_centers(model.bin_size_deg)

@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import json
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +11,15 @@ from hypothesis import strategies as st
 
 import cueplace as cp
 from cueplace.layout import DECONFLICT_STEP_DEG, LayoutError
+from tests.oracles import angular_distance, nearest_element_decision, score_values
+
+# Shared azimuths, spread apart by the deconfliction, near 0 and elsewhere.
+SHARED = cp.Layout(
+    tuple(
+        cp.Element(f"e{i}", a)
+        for i, a in enumerate([10.0, 10.0, 100.0, 190.0, 190.0, 250.0, 359.9995, 0.0, 95.0])
+    )
+)
 
 
 class TestConstruction:
@@ -57,6 +70,138 @@ class TestConstruction:
         order = lay.circular_order()
         assert order == sorted(range(len(per_element)), key=lambda i: per_element[i])
         assert lay.circular_order() is not order  # a fresh list each call
+
+
+class TestAngleChecks:
+    """`Layout` checks each angle as a layout file's element is checked."""
+
+    @pytest.mark.parametrize(
+        "azimuth, elevation, message",
+        [
+            (10.0, float("nan"), "elevation_deg of 'b' must be finite, got nan"),
+            (10.0, float("-inf"), "elevation_deg of 'b' must be finite, got -inf"),
+            (True, 0.0, "azimuth_deg of 'b' must be a number, got True"),
+            (np.True_, 0.0, f"azimuth_deg of 'b' must be a number, got {np.True_!r}"),
+            (10.0, False, "elevation_deg of 'b' must be a number, got False"),
+            (10.0, "x", "elevation_deg of 'b' must be a number, got 'x'"),
+            ("90", 0.0, "azimuth_deg of 'b' must be a number, got '90'"),
+            (None, 0.0, "azimuth_deg of 'b' must be a number, got None"),
+            (10**400, 0.0, f"azimuth_deg of 'b' must be finite, got {10**400!r}"),
+            (np.float32("nan"), 0.0, "azimuth_deg of 'b' must be finite"),
+        ],
+    )
+    def test_rejects(self, azimuth, elevation, message):
+        with pytest.raises(LayoutError) as exc:
+            cp.Layout((cp.Element("a", 10.0), cp.Element("b", azimuth, elevation)))
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "azimuth, elevation, expected",
+        [
+            (10, 0, (10.0, 0.0)),
+            (360, 5, (0.0, 5.0)),
+            (725, -5, (5.0, -5.0)),
+            (-90, 0.0, (270.0, 0.0)),
+            (-0.0, -0.0, (0.0, -0.0)),
+            (370.0, 1.5, (10.0, 1.5)),
+            (np.int64(-30), np.float32(1.5), (330.0, 1.5)),
+            (np.float64(720.5), np.int8(2), (0.5, 2.0)),
+        ],
+    )
+    def test_elements_hold_floats(self, azimuth, elevation, expected):
+        element = cp.Layout((cp.Element("a", azimuth, elevation),)).elements[0]
+        got = (element.visual_azimuth_deg, element.elevation_deg)
+        assert [type(v) for v in got] == [float, float]
+        assert repr(got) == repr(expected)
+
+    def test_unchanged_element_is_kept(self):
+        kept, moved, as_int = cp.Element("a", 10.0, 2.0), cp.Element("b", 375.0), cp.Element("c", 20)
+        lay = cp.Layout((kept, moved, as_int))
+        assert lay.elements[0] is kept
+        assert lay.elements[1] is not moved and lay.elements[2] is not as_int
+        assert lay.elements[1:] == (cp.Element("b", 15.0), cp.Element("c", 20.0))
+
+
+class TestSlottedRecords:
+    """`Element` and `Assignment` are frozen, slotted dataclasses that
+    compare, hash, copy and pickle by value."""
+
+    @pytest.mark.parametrize(
+        "record, change",
+        [
+            (cp.Element("a", 10.0, 2.0), {"visual_azimuth_deg": 20.0}),
+            (cp.Assignment("a", 3, 42.0, 40.0, 0.0), {"sound_bin": 4}),
+        ],
+    )
+    def test_value_semantics(self, record, change):
+        twin = dataclasses.replace(record)
+        assert twin == record and twin is not record and hash(twin) == hash(record)
+        other = dataclasses.replace(record, **change)
+        assert other != record
+        assert {**dataclasses.asdict(record), **change} == dataclasses.asdict(other)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.id = "b"
+
+
+class TestGeometry:
+    def test_read_only_and_built_once(self):
+        lay = cp.Layout((cp.Element("a", 10.0), cp.Element("b", 200.0)))
+        geometry = lay.geometry(12)
+        assert lay.geometry(12) is geometry
+        for table in geometry[:4]:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert isinstance(geometry.ends, tuple)
+
+    def test_keyed_by_checked_bin_size(self):
+        lay = cp.Layout((cp.Element("a", 10.0), cp.Element("b", 200.0)))
+        assert lay.geometry(np.int64(12)) is lay.geometry(12) is lay.geometry(12.0)
+        assert lay.geometry(3) is not lay.geometry(12)
+        for bad in (7, 0, -12, 12.5):
+            with pytest.raises(ValueError):
+                lay.geometry(bad)
+        assert [type(size) for size in lay._geometry] == [int, int]
+
+    def test_lives_with_its_layout(self):
+        lay = cp.Layout((cp.Element("a", 10.0), cp.Element("b", 200.0)))
+        table = weakref.ref(lay.geometry(12).circular)
+        del lay
+        gc.collect()
+        assert table() is None
+
+    def test_repr_unchanged(self):
+        lay = cp.Layout((cp.Element("a", 10.0), cp.Element("b", -20.0, 5.0)))
+        want = (
+            "Layout(elements=(Element(id='a', visual_azimuth_deg=10.0, elevation_deg=0.0), "
+            "Element(id='b', visual_azimuth_deg=340.0, elevation_deg=5.0)))"
+        )
+        assert repr(lay) == want
+        lay.geometry(12)
+        assert repr(lay) == want
+
+    @pytest.mark.parametrize("bin_size", [12, 3, 8, 24, 1])
+    def test_matches_per_cell_oracles(self, bin_size):
+        geometry = SHARED.geometry(bin_size)
+        centers = cp.bin_centers(bin_size)
+        for i, v in enumerate(SHARED.visual_azimuths.tolist()):
+            for p, c in enumerate(centers.tolist()):
+                circular = angular_distance(c, v)
+                assert geometry.circular[i, p] == circular
+                mirrored = angular_distance(cp.mirror_front_back(c), v)
+                assert geometry.adjusted[i, p] == min(circular, mirrored)
+        decided = [nearest_element_decision(c, SHARED) for c in centers]
+        assert geometry.decided.tolist() == decided
+        for i, (lo, hi) in enumerate(zip((0, *geometry.ends), geometry.ends)):
+            assert geometry.by_element[lo:hi].tolist() == [p for p, d in enumerate(decided) if d == i]
+        assert geometry.ends[-1] == centers.size
+        # the score matrix reads the geometry under either cone rule
+        model = cp.synthesize_model(cp.calibrated_params(bin_size))
+        for cone_rule in ("point-plus-mirror", "mirror-only"):
+            got = cp.build_score_matrix(model, SHARED, cone_rule=cone_rule).values
+            assert np.array_equal(got, score_values(model, SHARED, cone_rule=cone_rule))
 
 
 class TestDeconflict:

@@ -399,7 +399,9 @@ class TestRunSimulation:
         solution = solved(model, layout)
         tracemalloc.start()
         try:
-            cp.run_simulation(solution, layout, model, trials=50_000, seed=0)
+            # a fresh, equal layout, so the run builds its geometry in here
+            fresh = cp.Layout(layout.elements)
+            cp.run_simulation(solution, fresh, model, trials=50_000, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
