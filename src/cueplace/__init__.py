@@ -44,7 +44,6 @@ from .scoring import ScoreMatrix, Weights, build_score_matrix
 from .simulate import (
     LocalizationStats,
     SimulationReport,
-    decision_by_bin,
     dump_trials,
     expected_accuracy,
     expected_localization_errors,
@@ -90,7 +89,6 @@ __all__ = [
     "InfeasibleLayoutError",
     "solve",
     "colocated_solution",
-    "decision_by_bin",
     "run_simulation",
     "expected_accuracy",
     "SimulationReport",

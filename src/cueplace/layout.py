@@ -34,15 +34,12 @@ class Geometry(NamedTuple):
     `circular[i, p]` is the arc from element i to bin p's center,
     `adjusted[i, p]` the smaller of that and the arc to the center's
     front-back mirror, and `decided[p]` the element nearest that center,
-    the earliest on ties. `by_element` lists the bins grouped by deciding
-    element, ascending within a group; element i's group ends at `ends[i]`.
+    the earliest on ties.
     """
 
     circular: np.ndarray
     adjusted: np.ndarray
     decided: np.ndarray
-    by_element: np.ndarray
-    ends: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +98,10 @@ class Layout:
         size = _check_bin_size(bin_size_deg)
         if size not in self._geometry:
             circular, adjusted = _distance_tables(self._azimuths, size)
-            decided = np.argmin(circular, axis=0)
-            tables = (circular, adjusted, decided, np.argsort(decided, kind="stable"))
-            for table in tables:
+            geometry = Geometry(circular, adjusted, np.argmin(circular, axis=0))
+            for table in geometry:
                 table.flags.writeable = False
-            ends = np.cumsum(np.bincount(decided, minlength=len(self))).tolist()
-            self._geometry[size] = Geometry(*tables, tuple(ends))
+            self._geometry[size] = geometry
         return self._geometry[size]
 
 

@@ -85,7 +85,7 @@ def _ordered_quantized(scores: ScoreMatrix, max_displacement_deg: float | None):
     s = scores.values[order].astype(float, copy=False)
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    limit = float(np.abs(s).max(initial=1.0))
+    limit = float(np.abs(s).max()) or 1.0
     q = np.rint(np.multiply(s, (1 << QUANT_BITS) / limit, out=s), out=s).astype(np.int64)
     if max_displacement_deg is not None:
         if math.isnan(max_displacement_deg) or max_displacement_deg < 0:

@@ -29,16 +29,6 @@ from .layout import Layout
 from .placement import PlacementSolution
 
 
-def decision_by_bin(layout: Layout, bin_size_deg: int) -> np.ndarray:
-    """Element the listener picks for a percept in each bin, read-only.
-
-    Percepts are bin centers; the decision is the element whose visual
-    azimuth is nearest, ties going to the earliest element in layout order.
-    """
-
-    return layout.geometry(bin_size_deg).decided
-
-
 def _bins_in_layout_order(solution: PlacementSolution, layout: Layout) -> np.ndarray:
     """Sound bin of each layout element, in layout order."""
 
@@ -111,8 +101,8 @@ def run_simulation(
     """Monte-Carlo identification accuracy of a placement under the model.
 
     One random stream drives the whole run (targets first, then percepts),
-    so results depend only on the seed. The listener's decision rule is
-    `decision_by_bin`; errors are measured between the perceived
+    so results depend only on the seed. The listener's decision rule is the
+    layout geometry's `decided`; errors are measured between the perceived
     azimuth and the target element's visual azimuth.
 
     A trial's outcome depends only on its (target, percept) cell, so no
@@ -139,7 +129,7 @@ def run_simulation(
     n, nb = len(layout.elements), model.bin_count
     rng = np.random.default_rng(seed)
     targets = rng.integers(n, size=trials)
-    circular, adjusted, decided = layout.geometry(model.bin_size_deg)[:3]
+    circular, adjusted, decided = layout.geometry(model.bin_size_deg)
     guide = _build_guide(model, _bins_in_layout_order(solution, layout), trials)
     hist = None
 
@@ -202,11 +192,10 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     """
 
     bins = _bins_in_layout_order(solution, layout)
-    # Bins grouped by decided element, ascending within a group, so each
-    # sum adds the values in the order a mask would.
-    *_, by_element, ends = layout.geometry(model.bin_size_deg)
-    rows = model.matrix.take(bins, axis=0).take(by_element, axis=1)
-    per_element = [np.add.reduce(row[lo:hi]) for row, lo, hi in zip(rows, (0, *ends), ends)]
+    decided = layout.geometry(model.bin_size_deg).decided
+    # Masking a contiguous row copies the element's bins in ascending order.
+    mine = decided == np.arange(bins.size)[:, None]
+    per_element = [np.add.reduce(row[m]) for row, m in zip(model.matrix.take(bins, axis=0), mine)]
     return float(np.add.reduce(per_element) / len(per_element))  # as `np.mean` divides
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cueplace.placement import (
     _extract_lex_min,
     _ordered_quantized,
 )
-from tests.conftest import random_scores
+from tests.conftest import random_layout, random_scores
 from tests.oracles import brute_force_solve, extract_lex_min
 
 
@@ -147,6 +148,42 @@ class TestSolveProperties:
         assert a.objective == b.objective
         assert [x.sound_bin for x in a.assignments] == [x.sound_bin for x in b.assignments]
         assert a.cut_rotation == b.cut_rotation
+
+
+@lru_cache(maxsize=None)
+def calibrated(bin_size: int) -> cp.ConfusionModel:
+    return cp.synthesize_model(cp.calibrated_params(bin_size))
+
+
+class TestRelativeGrid:
+    """The quantization grid is one part in 2**40 of the largest |score|, so
+    weights scaled by a power of two scale every score, and the objective,
+    exactly and leave the placement as it was."""
+
+    SCALE = 2.0**-50
+
+    def solve_both(self, layout, bin_size):
+        model = calibrated(bin_size)
+        default = cp.solve(cp.build_score_matrix(model, layout))
+        tiny_weights = cp.Weights(cp.Weights().blur * self.SCALE, cp.Weights().cone * self.SCALE)
+        return default, cp.solve(cp.build_score_matrix(model, layout, tiny_weights))
+
+    def test_tiny_weights_on_a_fixed_layout(self):
+        layout = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate((10, 100, 200, 300))))
+        for sol in self.solve_both(layout, 12):
+            assert [a.sound_bin for a in sol.assignments] == [1, 7, 16, 25]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(2, 8),
+        bin_size=st.sampled_from([12, 3, 8]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_power_of_two_weights_keep_the_placement(self, seed, n, bin_size):
+        default, tiny = self.solve_both(random_layout(np.random.default_rng(seed), n), bin_size)
+        assert [a.sound_bin for a in tiny.assignments] == [a.sound_bin for a in default.assignments]
+        assert tiny.cut_rotation == default.cut_rotation
+        assert tiny.objective == default.objective * self.SCALE
 
 
 class TestDisplacementLimit:
