@@ -455,7 +455,7 @@ def calibrated_params(bin_size_deg: int = 12) -> SyntheticModelParams:
 
 # `sample_bins` searches the trials whose guide cell holds a CDF entry this
 # many trials at a time, which bounds the search's working arrays. Each of
-# `run_simulation`'s leaves (at most 2^14 trials unless n * B is more) is
+# `run_simulation`'s chunks (at most 2^14 trials unless n * B is more) is
 # then searched in one pass.
 _SEARCH_BLOCK = 1 << 14
 

@@ -60,34 +60,18 @@ class SimulationReport:
         return gap, se
 
 
-# A run draws and reduces its trials in leaves of the summation tree of at
-# most this many trials (about 128 KB per trial-length array, which stays
-# in cache and in memory the process already holds), and never fewer than
-# the run's (target, percept) cells, so a leaf's histogram stays a small
-# part of its work.
-_LEAF_TRIALS = 1 << 14
+# A run draws its trials in equal chunks of at most this many trials, whose
+# arrays stay in cache and in memory the process holds, or of its n * B
+# (target, percept) cells if more, so a chunk's histogram is a small part.
+_CHUNK_TRIALS = 1 << 14
 
 
-def _pairwise_sum(leaf_sum, lo: int, hi: int, leaf: int):
-    """Sum over items lo..hi-1 added as NumPy's pairwise summation adds them.
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int, if it is a Python or NumPy integer (no bool) >= `least`."""
 
-    NumPy's `add.reduce` of a contiguous float64 array (and so its `sum`
-    and `mean`) adds n items by `pairwise_sum` (numpy/_core/src/umath/
-    loops_utils.h.src): n <= 128 items in one fixed order, otherwise the
-    first n2 = n // 2 rounded down to a multiple of 8 and the rest
-    separately, and then those two sums. A subtree of at most `leaf` items
-    (`leaf` >= 128) is summed by `leaf_sum(lo, hi)`, which must return
-    what `np.add.reduce` gives for those items; the others add their halves'
-    sums the same way. The result equals `np.add.reduce` over all items bit
-    for bit (Higham, SIAM J. Sci. Comput. 14(4), 1993, describes the
-    method). Leaves are summed in ascending order.
-    """
-
-    if hi - lo <= leaf:
-        return leaf_sum(lo, hi)
-    half = (hi - lo) // 2
-    mid = lo + half - half % 8
-    return _pairwise_sum(leaf_sum, lo, mid, leaf) + _pairwise_sum(leaf_sum, mid, hi, leaf)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+    return int(value)
 
 
 def run_simulation(
@@ -103,58 +87,42 @@ def run_simulation(
     One random stream drives the whole run (targets first, then percepts),
     so results depend only on the seed. The listener's decision rule is the
     layout geometry's `decided`; errors are measured between the perceived
-    azimuth and the target element's visual azimuth.
+    azimuth and the target element's visual azimuth. `trials` must be a
+    positive and `seed` a non-negative integer.
 
-    A trial's outcome depends only on its (target, percept) cell, so no
-    decision, correctness flag or error is kept per trial. The error
-    tables per (element, percept bin) and the decisions come from the
-    layout's `geometry`; the sampler's guide table is built once per run.
-    Only the targets are trial-length. The other trials' arrays live for
-    one leaf of NumPy's pairwise-summation tree over the trials (see
-    `_pairwise_sum`), at most `_LEAF_TRIALS` trials or the run's n * B
-    cells if more. Each leaf, in ascending order, draws its uniforms from
-    the stream (the same numbers one call for all trials gives), samples
-    its percepts, turns them into cells, sums its trials' circular,
-    adjusted and cone-effect errors, and adds its cells to the (target,
-    percept) histogram. The leaf sums, added up the same tree, are the
-    sums `np.mean` of the per-trial errors would take, bit for bit. The
-    histogram, with each percept bin's cells added to those of the element
-    it decides, gives the confusion counts. Small leaves reuse memory the
-    process holds: a fresh trial-length array is often new memory from the
-    operating system and costs a page fault per 4 KB page.
+    A trial's outcome depends only on its (target, percept) cell, so the
+    run keeps one histogram of the cells and, per trial, only the targets.
+    It draws the trials in equal chunks of at most `_CHUNK_TRIALS` trials
+    (or n * B, if more) in ascending order, so the uniforms are those one
+    call for all trials gives. The error means are the histogram's
+    count-weighted sums of the geometry's error tables; the confusion
+    counts add each percept bin's cells to those of the element it decides.
     """
 
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     n, nb = len(layout.elements), model.bin_count
     rng = np.random.default_rng(seed)
     targets = rng.integers(n, size=trials)
     circular, adjusted, decided = layout.geometry(model.bin_size_deg)
     guide = _build_guide(model, _bins_in_layout_order(solution, layout), trials)
-    hist = None
-
-    def leaf_sum(lo: int, hi: int) -> np.ndarray:
-        nonlocal hist
-        u = rng.random(hi - lo)
-        cell = sample_bins(guide, targets[lo:hi], u)
+    chunks = -(-trials // max(_CHUNK_TRIALS, n * nb))
+    for c in range(chunks):
+        lo, hi = trials * c // chunks, trials * (c + 1) // chunks
+        cell = sample_bins(guide, targets[lo:hi], rng.random(hi - lo))
         cell += np.multiply(targets[lo:hi], nb, out=targets[lo:hi])
-        # The uniforms are spent; their buffer takes the circular errors,
-        # and then the cone effects.
-        circ = np.take(circular, cell, out=u, mode="clip")
-        adj = np.take(adjusted, cell, mode="clip")
-        sum_circ, sum_adj = np.add.reduce(circ), np.add.reduce(adj)
-        sum_cone = np.add.reduce(np.subtract(circ, adj, out=circ))
-        del u, circ, adj  # before the histogram, keeping the peak low
-        counts = np.bincount(cell, minlength=n * nb)
-        if hist is None:
-            hist = counts
+        if c == 0:
+            hist = np.bincount(cell, minlength=n * nb)
         else:
-            hist += counts
-        return np.array([sum_circ, sum_adj, sum_cone])
+            hist += np.bincount(cell, minlength=n * nb)
+        del cell  # so the next chunk reuses its memory, not fresh pages that fault
+    del targets, guide  # before the sums and counts, keeping the peak low
 
-    sums = _pairwise_sum(leaf_sum, 0, trials, max(_LEAF_TRIALS, n * nb))
-    mean_circular, mean_adjusted, mean_cone = (sums / trials).tolist()
-    del targets, guide  # before the counts, keeping the peak low
+    # Circular errors are never below adjusted ones, and rounding is
+    # monotone, so the cone mean is never negative.
+    weighted = np.multiply(hist, circular.ravel())
+    mean_circular = float(np.add.reduce(weighted) / trials)
+    mean_adjusted = float(np.add.reduce(np.multiply(hist, adjusted.ravel(), out=weighted)) / trials)
+    del weighted
 
     # Confusion counts: each (target, percept) cell of the histogram added to
     # its (target, decided element) cell, in exact integers. Flat contiguous
@@ -179,7 +147,7 @@ def run_simulation(
         confusion_counts=counts,
         mean_circular_error_deg=mean_circular,
         mean_adjusted_error_deg=mean_adjusted,
-        mean_cone_effect_deg=mean_cone,
+        mean_cone_effect_deg=mean_circular - mean_adjusted,
     )
 
 
@@ -217,8 +185,7 @@ def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int) -> np.
     (bins, trials_per_bin) array: row t holds true bin t's trials in draw
     order."""
 
-    if trials_per_bin < 1:
-        raise ValueError(f"trials_per_bin must be >= 1, got {trials_per_bin}")
+    trials_per_bin = _count("trials_per_bin", trials_per_bin, 1)
     rows = np.arange(model.bin_count)
     true_bins = np.repeat(rows, trials_per_bin)
     u = np.random.default_rng(seed).random(true_bins.size)

@@ -18,7 +18,7 @@ from cueplace.confusion import (
     _regions_by_bin,
     sample_bins,
 )
-from cueplace.simulate import _LEAF_TRIALS, _pairwise_sum, _regions_with_centers, expected_accuracy
+from cueplace.simulate import _CHUNK_TRIALS, _regions_with_centers, expected_accuracy
 from tests.conftest import random_layout
 from tests.oracles import (
     expected_accuracy_per_element,
@@ -293,6 +293,34 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             cp.run_simulation(sol, CENTERED, identity, trials=0)
 
+    @pytest.mark.parametrize(
+        "trials, seed, bad",
+        [
+            (np.int64(5), np.uint32(3), None),
+            (np.int32(1), np.int64(0), None),
+            (np.int64(-1), 0, "trials"),
+            (True, 0, "trials"),
+            (np.True_, 0, "trials"),
+            (2.5, 0, "trials"),
+            (5.0, 0, "trials"),
+            ("5", 0, "trials"),
+            (5, -1, "seed"),
+            (5, np.int64(-1), "seed"),
+            (5, True, "seed"),
+            (5, 1.0, "seed"),
+        ],
+    )
+    def test_trials_and_seed_at_the_boundary(self, calibrated_model, trials, seed, bad):
+        sol = solved(calibrated_model, CENTERED)
+        if bad:
+            with pytest.raises(ValueError, match=f"^{bad} must be >= "):
+                cp.run_simulation(sol, CENTERED, calibrated_model, trials, seed)
+            return
+        got = cp.run_simulation(sol, CENTERED, calibrated_model, trials, seed)
+        assert type(got.trials) is int and type(got.seed) is int
+        want = cp.run_simulation(sol, CENTERED, calibrated_model, int(trials), int(seed))
+        assert_same_report(got, want)
+
     def test_accuracy_gap(self, calibrated_model, side_by_side):
         scores = cp.build_score_matrix(calibrated_model, side_by_side)
         opt = cp.run_simulation(cp.solve(scores), side_by_side, calibrated_model, 5000, seed=0)
@@ -336,11 +364,11 @@ class TestRunSimulation:
         seed=4,
         azimuths=[6.0, 6.0, 174.0, 186.0, 90.0],
     )
-    # One leaf; two leaves, split at 8192; three leaves, two levels deep;
-    # and leaves of 18000, 9000 and 9001 trials set by n * B = 18000.
+    # One chunk of 2^14 trials; two chunks, of 8192 and 8193; three of 10923;
+    # and, as n * B = 18000 is the chunk limit there, 12000, 12000 and 12001.
     @example(
         shape=(12, 12),
-        trials=_LEAF_TRIALS,
+        trials=_CHUNK_TRIALS,
         colocated=False,
         kind="calibrated",
         seed=5,
@@ -348,7 +376,7 @@ class TestRunSimulation:
     )
     @example(
         shape=(7, 3),
-        trials=_LEAF_TRIALS + 1,
+        trials=_CHUNK_TRIALS + 1,
         colocated=True,
         kind="calibrated",
         seed=6,
@@ -356,7 +384,7 @@ class TestRunSimulation:
     )
     @example(
         shape=(12, 12),
-        trials=2 * _LEAF_TRIALS + 1,
+        trials=2 * _CHUNK_TRIALS + 1,
         colocated=False,
         kind="calibrated",
         seed=7,
@@ -370,6 +398,18 @@ class TestRunSimulation:
         seed=8,
         azimuths=None,
     )
+    # Elements just left of 90 degrees, one displaced across it: a cone
+    # effect of about 2.5e-4 degrees, the difference of two means of about
+    # 9 degrees, where the per-trial oracle's cone mean is 5e-12 apart
+    # relative to itself.
+    @example(
+        shape=(1, 3),
+        trials=50_000,
+        colocated=False,
+        kind="identity",
+        seed=1,
+        azimuths=[89.999, 89.9995, 30.0, 200.0],
+    )
     @settings(max_examples=120)
     def test_matches_per_trial_oracle(self, shape, trials, colocated, kind, seed, azimuths):
         # the colocated baseline repeats a bin when two elements share one
@@ -381,10 +421,21 @@ class TestRunSimulation:
             layout = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
         scores = cp.build_score_matrix(model, layout)
         solution = cp.colocated_solution(scores) if colocated else cp.solve(scores)
-        assert_same_report(
-            cp.run_simulation(solution, layout, model, trials, seed),
-            run_simulation_per_trial(solution, layout, model, trials, seed),
+        got = cp.run_simulation(solution, layout, model, trials, seed)
+        want = run_simulation_per_trial(solution, layout, model, trials, seed)
+        # The means are count-weighted sums over cells, not sums over
+        # trials, so only their last bits may differ. The cone mean is the
+        # difference of the other two, so its error is theirs, and is
+        # bounded relative to the circular mean, not to itself.
+        circular = want.mean_circular_error_deg
+        for name in ("mean_circular_error_deg", "mean_adjusted_error_deg"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+        assert got.mean_cone_effect_deg == pytest.approx(
+            want.mean_cone_effect_deg, rel=1e-12, abs=1e-12 * circular
         )
+        assert got.mean_cone_effect_deg >= 0.0
+        means = ("mean_circular_error_deg", "mean_adjusted_error_deg", "mean_cone_effect_deg")
+        assert_same_report(got, dataclasses.replace(want, **{m: getattr(got, m) for m in means}))
 
     @pytest.mark.parametrize(
         "n, bin_size, bound",
@@ -406,34 +457,6 @@ class TestRunSimulation:
         finally:
             tracemalloc.stop()
         assert peak <= bound
-
-
-class TestPairwiseSum:
-    """`_pairwise_sum` must add as NumPy's `add.reduce` does, or the error
-    means of `run_simulation` move in their last bits."""
-
-    @staticmethod
-    def lengths(rng):
-        edges = {2**k + d for k in range(1, 19) for d in (-1, 0, 1)}
-        leaves = {
-            k * leaf + d for leaf in (_LEAF_TRIALS, 18_000) for k in (1, 2, 3) for d in (-1, 0, 1)
-        }
-        drawn = np.exp(rng.uniform(0.0, np.log(300_000), 200)).astype(int)
-        return sorted({1, 7, 8, 9, 127, 128, 129, 300_000, *edges, *leaves, *drawn.tolist()})
-
-    @pytest.mark.parametrize("leaf", [_LEAF_TRIALS, 18_000, 128])
-    def test_equals_add_reduce(self, leaf):
-        # magnitudes spread over 16 decades, so another order changes the bits
-        rng = np.random.default_rng(leaf)
-        for size in self.lengths(rng):
-            a = rng.random(size) * 10.0 ** rng.integers(-8, 8, size)
-            got = _pairwise_sum(lambda lo, hi: np.add.reduce(a[lo:hi]), 0, size, leaf)
-            assert repr(got) == repr(np.add.reduce(a)), size
-
-    def test_leaves_ascend_and_tile(self):
-        seen = []
-        _pairwise_sum(lambda lo, hi: seen.append((lo, hi)) or 0.0, 0, 50_000, _LEAF_TRIALS)
-        assert seen == [(0, 12496), (12496, 25000), (25000, 37496), (37496, 50000)]
 
 
 class TestExpectedAccuracy:
@@ -557,6 +580,15 @@ class TestTable1Statistics:
         with pytest.raises(ValueError):
             cp.table1_statistics(identity, trials_per_bin=0)
 
+    @pytest.mark.parametrize("trials_per_bin", [np.int64(3), True, np.True_, 2.5, 3.0, "3", -2])
+    def test_budget_at_the_boundary(self, calibrated_model, trials_per_bin):
+        if isinstance(trials_per_bin, np.integer):
+            got = cp.table1_statistics(calibrated_model, trials_per_bin=trials_per_bin, seed=2)
+            assert got == cp.table1_statistics(calibrated_model, trials_per_bin=3, seed=2)
+            return
+        with pytest.raises(ValueError, match="^trials_per_bin must be >= 1"):
+            cp.table1_statistics(calibrated_model, trials_per_bin=trials_per_bin)
+
     @pytest.mark.parametrize("bin_size", [90, 120])
     def test_rejects_region_without_bin_center(self, bin_size):
         with pytest.raises(cp.ModelFormatError, match="lies in region 'front'"):
@@ -596,6 +628,19 @@ class TestDumpTrials:
         path = tmp_path / "trials.csv"
         with pytest.raises(ValueError, match="trials_per_bin must be >= 1"):
             cp.dump_trials(identity, path, trials_per_bin=trials_per_bin)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("trials_per_bin", [np.int64(3), True, np.True_, 2.5, 3.0, "3"])
+    def test_budget_at_the_boundary(self, tmp_path, calibrated_model, trials_per_bin):
+        path, want = tmp_path / "trials.csv", tmp_path / "want.csv"
+        if isinstance(trials_per_bin, np.integer):
+            written = cp.dump_trials(calibrated_model, path, trials_per_bin=trials_per_bin, seed=2)
+            assert type(written) is int
+            assert written == cp.dump_trials(calibrated_model, want, trials_per_bin=3, seed=2)
+            assert path.read_bytes() == want.read_bytes()
+            return
+        with pytest.raises(ValueError, match="^trials_per_bin must be >= 1"):
+            cp.dump_trials(calibrated_model, path, trials_per_bin=trials_per_bin)
         assert not path.exists()
 
     def test_header(self, tmp_path, identity):
