@@ -6,7 +6,8 @@ synthetic confusion model), inspect-model (summary statistics of a model
 file), table1 (simulated per-region localization-error statistics).
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible instance, 4 internal
-error. Diagnostics go to stderr as single `error: <kind>: <message>` lines.
+error. Diagnostics go to stderr as single `error: <kind>: <message>` lines,
+and warnings about a run that still succeeds as `warning: <message>` lines.
 Emitted JSON is strict (no NaN or Infinity tokens) and byte-stable for
 identical inputs: keys are sorted and nothing time- or environment-dependent
 is written (solve timing goes to stderr instead).
@@ -115,6 +116,9 @@ def _cmd_eval(args) -> int:
         ("colocated", colocated_solution(scores)),
         ("optimized", solve(scores, max_displacement_deg=args.max_displacement)),
     ]
+    for _, sol in runs:
+        if sol.warning:
+            print(f"warning: {sol.warning}", file=sys.stderr)
     reports = {
         name: run_simulation(sol, layout, model, args.trials, args.seed, strategy=name)
         for name, sol in runs

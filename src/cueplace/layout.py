@@ -11,11 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import _check_bin_size, _distance_tables, normalize
-
-# Spread applied to coinciding visual azimuths so the ordering constraints
-# see a strict order; small enough to be perceptually meaningless.
-DECONFLICT_STEP_DEG = 0.001
+from .angles import _check_bin_size, _distance_tables
 
 
 class LayoutError(ValueError):
@@ -47,11 +43,9 @@ class Layout:
     """Ordered collection of visual elements; order is the input order.
 
     Angles must be finite real numbers, not bools or strings. Azimuths are
-    normalized and de-conflicted at construction: elements sharing an
-    azimuth are spread DECONFLICT_STEP_DEG apart in id order, centered on
-    the shared azimuth. Should a spread land on another element's azimuth,
-    the colliding groups spread together around their mean, so every
-    element ends with a distinct angle.
+    normalized to [0, 360) at construction and must then be distinct, so
+    the circular order is strict; two elements at one azimuth are a
+    LayoutError naming both.
     """
 
     elements: tuple[Element, ...]
@@ -66,7 +60,7 @@ class Layout:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise LayoutError(f"duplicate element id {dup!r}")
-        elements = _deconflict(self.elements)
+        elements = _checked(self.elements)
         azimuths = np.array([e.visual_azimuth_deg for e in elements])
         azimuths.flags.writeable = False
         object.__setattr__(self, "elements", elements)
@@ -121,57 +115,27 @@ def _angle(eid, name: str, value) -> float:
     return angle
 
 
-def _deconflict(elements) -> tuple[Element, ...]:
-    az = normalize([_angle(e.id, "azimuth_deg", e.visual_azimuth_deg) for e in elements]).tolist()
+def _checked(elements) -> tuple[Element, ...]:
+    """`elements` with float angles and normalized azimuths, or a LayoutError
+    if an angle is bad or two azimuths coincide once normalized."""
+
+    az = [_angle(e.id, "azimuth_deg", e.visual_azimuth_deg) for e in elements]
     elevations = [_angle(e.id, "elevation_deg", e.elevation_deg) for e in elements]
-    ids = [e.id for e in elements]
-    # Elements sharing an angle form a cluster that is spread apart. A spread
-    # can land on another element's angle; the clusters involved then merge
-    # and spread again. Each merge removes a cluster, so this terminates, at
-    # worst with one cluster whose members all sit a step apart.
-    cluster_of = list(range(len(az)))
-    pos = az
-    while len(set(pos)) < len(pos):
-        at: dict[float, list[int]] = {}
-        for i, p in enumerate(pos):
-            at.setdefault(p, []).append(i)
-        for idxs in at.values():
-            if len(idxs) > 1:
-                merged = {cluster_of[i] for i in idxs}
-                target = min(merged)
-                cluster_of = [target if c in merged else c for c in cluster_of]
-        pos = _spread(az, ids, cluster_of)
+    # bit for bit angles.normalize: mod of a tiny negative rounds to 360.0
+    az = [0.0 if p == 360.0 else p for p in (a % 360.0 for a in az)]
+    if len(set(az)) < len(az):
+        first: dict[float, str] = {}
+        for e, p in zip(elements, az):
+            if p in first:
+                raise LayoutError(f"elements {first[p]!r} and {e.id!r} share azimuth {p!r}")
+            first[p] = e.id
     # An element already holding its final float angles is kept; 0 < p tells
     # an input -0.0 from the 0.0 it normalizes to.
     floats = [type(e.visual_azimuth_deg) is float is type(e.elevation_deg) for e in elements]
     return tuple(
         e if kept and 0.0 < p == e.visual_azimuth_deg else Element(e.id, p, el)
-        for e, p, el, kept in zip(elements, pos, elevations, floats)
+        for e, p, el, kept in zip(elements, az, elevations, floats)
     )
-
-
-def _spread(az: list[float], ids: list[str], cluster_of: list[int]) -> list[float]:
-    """Angle of each element once every cluster is spread around its mean.
-
-    Members sit DECONFLICT_STEP_DEG apart in (azimuth, id) order, centered
-    on the mean of their azimuths; a singleton keeps its own azimuth.
-    """
-
-    members: dict[int, list[int]] = {}
-    for i, c in enumerate(cluster_of):
-        members.setdefault(c, []).append(i)
-    pos = list(az)
-    for idxs in members.values():
-        if len(idxs) == 1:
-            continue
-        ref = az[idxs[0]]
-        # signed offsets from ref, so a cluster straddling 0 stays contiguous
-        delta = {i: (az[i] - ref + 180.0) % 360.0 - 180.0 for i in idxs}
-        center = ref + math.fsum(delta.values()) / len(idxs)
-        idxs.sort(key=lambda i: (delta[i], ids[i]))
-        for k, i in enumerate(idxs):
-            pos[i] = normalize(center + (k - (len(idxs) - 1) / 2.0) * DECONFLICT_STEP_DEG)
-    return pos
 
 
 def layout_from_dict(d: dict) -> Layout:

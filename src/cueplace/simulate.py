@@ -183,9 +183,10 @@ class LocalizationStats:
 def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int) -> np.ndarray:
     """Perceived bins of `trials_per_bin` trials per true bin, as a
     (bins, trials_per_bin) array: row t holds true bin t's trials in draw
-    order."""
+    order. `trials_per_bin` must be a positive and `seed` a non-negative
+    integer."""
 
-    trials_per_bin = _count("trials_per_bin", trials_per_bin, 1)
+    trials_per_bin, seed = _count("trials_per_bin", trials_per_bin, 1), _count("seed", seed, 0)
     rows = np.arange(model.bin_count)
     true_bins = np.repeat(rows, trials_per_bin)
     u = np.random.default_rng(seed).random(true_bins.size)

@@ -183,6 +183,20 @@ class TestSolve:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    @pytest.mark.parametrize("first, second", [("0", "360"), ("0.0", "-0.0")])
+    def test_shared_azimuth_is_input_error(self, tmp_path, capsys, command, first, second):
+        layout = tmp_path / "layout.json"
+        layout.write_text(
+            f'{{"elements": [{{"id": "a", "azimuth_deg": {first}}}, '
+            f'{{"id": "m", "azimuth_deg": 90}}, {{"id": "b", "azimuth_deg": {second}}}]}}'
+        )
+        out = tmp_path / "out.json"
+        assert main([command, "--layout", str(layout), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: input: {layout}: elements 'a' and 'b' share azimuth 0.0\n"
+        assert not out.exists()
+
     def test_missing_layout_is_input_error(self, tmp_path, capsys):
         assert main(["solve", "--layout", str(tmp_path / "none.json")]) == 2
         assert capsys.readouterr().err.startswith("error: input:")
@@ -214,6 +228,30 @@ class TestEval:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "strategy,accuracy,stderr"
         assert len(lines) == 3
+
+    def test_degenerate_baseline_is_warned(self, tmp_path, capsys, calibrated_model):
+        # 0 and 5 degrees share the 12-degree bin 0, so the colocated
+        # baseline puts both sounds there
+        layout = tmp_path / "layout.json"
+        layout.write_text(
+            json.dumps({"elements": [{"id": "a", "azimuth_deg": 0}, {"id": "b", "azimuth_deg": 5}]})
+        )
+        out, csv_path = tmp_path / "eval.json", tmp_path / "plot.csv"
+        args = ["eval", "--layout", str(layout), "--trials", "3000", "--seed", "4"]
+        assert main(args + ["--out", str(out), "--csv", str(csv_path)]) == 0
+        warning = "warning: degenerate baseline: multiple elements share a visual bin\n"
+        assert capsys.readouterr().err == warning
+        assert main(args + ["--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text() and captured.err == warning
+        # the CSV holds the library's numbers, and the warning is in neither file
+        lay = cp.load_layout(layout)
+        scores = cp.build_score_matrix(calibrated_model, lay)
+        lines = ["strategy,accuracy,stderr"]
+        for name, sol in [("colocated", cp.colocated_solution(scores)), ("optimized", cp.solve(scores))]:
+            r = cp.run_simulation(sol, lay, calibrated_model, 3000, 4)
+            lines.append(f"{name},{r.accuracy!r},{r.accuracy_stderr!r}")
+        assert csv_path.read_text() == "\n".join(lines) + "\n"
 
     def test_identity_model_perfect_and_equal(self, tmp_path):
         layout = tmp_path / "layout.json"
@@ -515,7 +553,8 @@ mistyped_numbers = st.one_of(st.booleans(), st.text(max_size=4), st.none())
 
 @st.composite
 def layout_texts(draw):
-    """Layout JSON: mostly well-formed, with odd azimuths or elevations, repeated ids or bad JSON."""
+    """Layout JSON: mostly well-formed, with odd azimuths or elevations, a
+    full turn apart from the first, repeated ids or bad JSON."""
 
     if draw(st.integers(0, 5)) == 0:
         return draw(
@@ -523,6 +562,8 @@ def layout_texts(draw):
         )
     azimuths = draw(st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=8))
     ids = [f"e{i}" for i in range(len(azimuths))]
+    if draw(st.integers(0, 5)) == 0:
+        azimuths[-1] = azimuths[0] + 360.0
     if draw(st.integers(0, 5)) == 0:
         azimuths[-1] = draw(any_float)
     if draw(st.integers(0, 5)) == 0:
@@ -571,7 +612,7 @@ weight_texts = st.one_of(
 # above, so that solve and eval often reach the solver, the sampler and the
 # report instead of stopping at the first bad argument.
 valid_layout_texts = st.lists(
-    st.floats(0.0, 360.0, exclude_max=True), min_size=1, max_size=8
+    st.floats(0.0, 360.0, exclude_max=True), min_size=1, max_size=8, unique=True
 ).map(
     lambda az: json.dumps(
         {"elements": [{"id": f"e{i}", "azimuth_deg": a} for i, a in enumerate(az)]}

