@@ -29,11 +29,39 @@ from .layout import Layout
 from .placement import PlacementSolution
 
 
-def _bins_in_layout_order(solution: PlacementSolution, layout: Layout) -> np.ndarray:
-    """Sound bin of each layout element, in layout order."""
+def _bins_in_layout_order(
+    solution: PlacementSolution, layout: Layout, model: ConfusionModel
+) -> np.ndarray:
+    """Sound bin of each layout element, in layout order.
 
-    by_id = solution.bins_by_element()
-    return np.array([by_id[e.id] for e in layout.elements], dtype=int)
+    A ValueError naming the id or bin unless the solution places exactly
+    the layout's elements, each in a bin of the model and at that bin's
+    center: a solution for another bin size or layout would otherwise be
+    scored as if it were this one's.
+    """
+
+    by_id = {a.id: a for a in solution.assignments}
+    try:
+        placed = [by_id.pop(e.id) for e in layout.elements]
+    except KeyError as missing:
+        raise ValueError(f"the solution does not place element {missing.args[0]!r}") from None
+    if by_id:
+        raise ValueError(f"the solution places {next(iter(by_id))!r}, which is not in the layout")
+    if len(placed) != len(solution.assignments):
+        ids = [a.id for a in solution.assignments]
+        raise ValueError(f"the solution places {next(i for i in ids if ids.count(i) > 1)!r} twice")
+    size, nb = model.bin_size_deg, model.bin_count
+    bins = [a.sound_bin for a in placed]
+    for a, b in zip(placed, bins):
+        if not 0 <= b < nb:
+            raise ValueError(f"bin {b!r} of {a.id!r} is not one of the model's {nb} bins")
+        # the arithmetic of `bin_centers`, in Python floats
+        if a.sound_azimuth_deg != (b + 0.5) * size:
+            raise ValueError(
+                f"{a.id!r} plays at {a.sound_azimuth_deg!r} degrees, not at the center of "
+                f"bin {b!r} of {size}-degree bins"
+            )
+    return np.array(bins, dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +81,12 @@ class SimulationReport:
     mean_cone_effect_deg: float
 
     def accuracy_gap(self, other: "SimulationReport") -> tuple[float, float]:
-        """Accuracy difference (self - other) and its combined standard error."""
+        """Accuracy difference (self - other) and its combined standard error.
+
+        The combined error assumes independent runs. Two runs on one seed,
+        element count and trial count share their targets and uniforms, so
+        their accuracies correlate and it overstates the gap's error.
+        """
 
         gap = self.accuracy - other.accuracy
         se = math.hypot(self.accuracy_stderr, other.accuracy_stderr)
@@ -74,6 +107,33 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+# The stream of the last run that drew one, by (seed, n, trials), kept
+# read-only until a run with that key takes it or a run with another key
+# draws its own: callers compare strategies by running each on one seed.
+# Runs in several threads stay exact, since a stream is only ever read;
+# they may draw a stream twice, or briefly keep two.
+_kept: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _stream(seed: int, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only targets and uniforms of a run: `integers(n, size=trials)`
+    then `random(trials)` from `default_rng(seed)`, the targets in the
+    smallest unsigned type that holds n - 1 (9 bytes per trial in all up
+    to 256 elements). A drawn stream is kept for one more run."""
+
+    key = (seed, n, trials)
+    stream = _kept.pop(key, None)
+    if stream is None:
+        _kept.clear()  # before the draw, so no two streams are ever alive
+        rng = np.random.default_rng(seed)
+        # the int64 draw is freed before the uniforms are drawn
+        targets = rng.integers(n, size=trials).astype(np.min_scalar_type(n - 1))
+        uniforms = rng.random(trials)
+        targets.flags.writeable = uniforms.flags.writeable = False
+        stream = _kept[key] = targets, uniforms
+    return stream
+
+
 def run_simulation(
     solution: PlacementSolution,
     layout: Layout,
@@ -91,31 +151,40 @@ def run_simulation(
     positive and `seed` a non-negative integer.
 
     A trial's outcome depends only on its (target, percept) cell, so the
-    run keeps one histogram of the cells and, per trial, only the targets.
-    It draws the trials in equal chunks of at most `_CHUNK_TRIALS` trials
-    (or n * B, if more) in ascending order, so the uniforms are those one
-    call for all trials gives. The error means are the histogram's
-    count-weighted sums of the geometry's error tables; the confusion
-    counts add each percept bin's cells to those of the element it decides.
+    run keeps one histogram of the cells and, per trial, only its target
+    and uniform. It samples the trials in equal chunks of at most
+    `_CHUNK_TRIALS` trials (or n * B, if more). The error means are the
+    histogram's count-weighted sums of the geometry's error tables; the
+    confusion counts add each percept bin's cells to those of the element
+    it decides.
+
+    Callers compare strategies on one seed, so a run that draws its stream
+    keeps it, read-only (9 bytes per trial up to 256 elements, 10 up to
+    65536), until the next run starts. If that run has the same seed,
+    element count and trials, it takes the stream instead of drawing it;
+    any other run drops it. At most one stream is kept, none after a
+    pair's second run, and a report depends only on the arguments.
     """
 
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     n, nb = len(layout.elements), model.bin_count
-    rng = np.random.default_rng(seed)
-    targets = rng.integers(n, size=trials)
     circular, adjusted, decided = layout.geometry(model.bin_size_deg)
-    guide = _build_guide(model, _bins_in_layout_order(solution, layout), trials)
+    guide = _build_guide(model, _bins_in_layout_order(solution, layout, model), trials)
+    targets, uniforms = _stream(seed, n, trials)
     chunks = -(-trials // max(_CHUNK_TRIALS, n * nb))
     for c in range(chunks):
         lo, hi = trials * c // chunks, trials * (c + 1) // chunks
-        cell = sample_bins(guide, targets[lo:hi], rng.random(hi - lo))
-        cell += np.multiply(targets[lo:hi], nb, out=targets[lo:hi])
+        # one cast per chunk, so the sampler and the cells add like types
+        target = targets[lo:hi].astype(np.intp)
+        cell = sample_bins(guide, target, uniforms[lo:hi])
+        cell += np.multiply(target, nb, out=target)
+        del target  # before the histogram, which at one chunk is the peak
         if c == 0:
             hist = np.bincount(cell, minlength=n * nb)
         else:
             hist += np.bincount(cell, minlength=n * nb)
         del cell  # so the next chunk reuses its memory, not fresh pages that fault
-    del targets, guide  # before the sums and counts, keeping the peak low
+    del targets, uniforms, guide  # before the sums and counts, keeping the peak low
 
     # Circular errors are never below adjusted ones, and rounding is
     # monotone, so the cone mean is never negative.
@@ -159,7 +228,7 @@ def expected_accuracy(solution: PlacementSolution, layout: Layout, model: Confus
     converges to this value.
     """
 
-    bins = _bins_in_layout_order(solution, layout)
+    bins = _bins_in_layout_order(solution, layout, model)
     decided = layout.geometry(model.bin_size_deg).decided
     # Masking a contiguous row copies the element's bins in ascending order.
     mine = decided == np.arange(bins.size)[:, None]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cueplace as cp
+from cueplace import simulate
 from cueplace.confusion import (
     DEFAULT_REGION_BOUNDS,
     ModelFormatError,
@@ -450,15 +451,137 @@ class TestRunSimulation:
         model = model_of("calibrated", bin_size)
         layout = random_layout(np.random.default_rng(n), n)
         solution = solved(model, layout)
-        tracemalloc.start()
-        try:
-            # a fresh, equal layout, so the run builds its geometry in here
-            fresh = cp.Layout(layout.elements)
-            cp.run_simulation(solution, fresh, model, trials=50_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        simulate._kept.clear()  # so the first run draws its stream, whatever ran before
+        peaks = []
+        for _ in ("draw", "take"):
+            tracemalloc.start()
+            try:
+                # a fresh, equal layout, so the run builds its geometry in here
+                fresh = cp.Layout(layout.elements)
+                cp.run_simulation(solution, fresh, model, trials=50_000, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert not simulate._kept
+        assert max(peaks) <= bound
+
+
+class TestKeptStream:
+    """A run keeps its drawn stream for the next run with the same (seed,
+    n, trials), which takes it; every report equals a cold run's."""
+
+    @staticmethod
+    def cold(*args):
+        simulate._kept.clear()
+        return cp.run_simulation(*args)
+
+    def test_reports_equal_cold_runs(self, calibrated_model, side_by_side, cone_pair):
+        three = random_layout(np.random.default_rng(3), 3)
+        model = calibrated_model
+        runs = []
+        for layout in (side_by_side, cone_pair, three):
+            scores = cp.build_score_matrix(model, layout)
+            runs.append((layout, cp.colocated_solution(scores), cp.solve(scores)))
+        (lay, co, opt), (lay2, co2, opt2), (lay3, co3, opt3) = runs
+        sequence = [
+            (co, lay, 5000, 3),
+            (opt, lay, 5000, 3),  # the pair's second run takes the stream
+            (opt, lay, 5000, 3),  # and the third draws it again
+            (co, lay, 5000, 4),  # another seed in between
+            (opt, lay, 5000, 3),
+            (co3, lay3, 5000, 3),  # the same seed with another n
+            (opt3, lay3, 5000, 3),
+            (co, lay, 4999, 3),  # or another trial count
+            (co2, lay2, 4999, 3),  # another solution and layout under one key
+            (opt2, lay2, 4999, 3),
+            (co, lay, 2 * _CHUNK_TRIALS + 1, 3),  # chunked, both strategies
+            (opt, lay, 2 * _CHUNK_TRIALS + 1, 3),
+        ]
+        simulate._kept.clear()
+        got = []
+        for sol, layout, trials, seed in sequence:
+            got.append(cp.run_simulation(sol, layout, model, trials, seed))
+            assert len(simulate._kept) <= 1
+        assert not simulate._kept  # the last pair's second run took its stream
+        for report, (sol, layout, trials, seed) in zip(got, sequence):
+            assert_same_report(report, self.cold(sol, layout, model, trials, seed))
+
+    @pytest.mark.parametrize("n, bin_size, dtype", [(2, 12, np.uint8), (300, 1, np.uint16)])
+    def test_kept_arrays_are_read_only(self, n, bin_size, dtype):
+        model = model_of("calibrated", bin_size)
+        layout = random_layout(np.random.default_rng(n), n)
+        solution = solved(model, layout)
+        want = self.cold(solution, layout, model, 2000, 9)
+        ((key, (targets, uniforms)),) = simulate._kept.items()
+        assert key == (9, n, 2000)
+        assert targets.dtype == dtype and uniforms.dtype == np.float64
+        for kept in (targets, uniforms):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0
+        assert_same_report(cp.run_simulation(solution, layout, model, 2000, 9), want)
+        assert not simulate._kept
+
+
+class TestForeignSolution:
+    """Both scorers reject a solution that is not the layout's and the
+    model's, naming the id or bin, instead of scoring it as if it were."""
+
+    @pytest.fixture(params=["expected_accuracy", "run_simulation"])
+    def score(self, request):
+        if request.param == "expected_accuracy":
+            return expected_accuracy
+        return lambda *args: cp.run_simulation(*args, trials=2000).accuracy
+
+    def test_solution_at_another_bin_size(self, score, calibrated_model, side_by_side):
+        fine = model_of("calibrated", 3)
+        solution = solved(calibrated_model, side_by_side)
+        # its 12-degree bins read as 3-degree ones gave an exact accuracy of
+        # 0.277, against 0.999 for the 3-degree model's own solution
+        message = "^'a' plays at 342.0 degrees, not at the center of bin 28 of 3-degree bins$"
+        with pytest.raises(ValueError, match=message):
+            score(solution, side_by_side, fine)
+        assert score(solved(fine, side_by_side), side_by_side, fine) > 0.99
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (("a",), "^the solution does not place element 'b'$"),
+            (("a", "b", "c"), "^the solution places 'c', which is not in the layout$"),
+            (("a", "b", "b"), "^the solution places 'b' twice$"),
+            (("b", "a"), None),  # any order of the layout's ids is the same solution
+        ],
+    )
+    def test_ids_must_be_the_layouts(self, score, calibrated_model, side_by_side, ids, message):
+        solution = solved(calibrated_model, side_by_side)
+        by_id = {a.id: a for a in solution.assignments}
+        by_id["c"] = dataclasses.replace(by_id["b"], id="c", sound_bin=10, sound_azimuth_deg=126.0)
+        other = dataclasses.replace(solution, assignments=tuple(by_id[i] for i in ids))
+        if message is None:
+            want = score(solution, side_by_side, calibrated_model)
+            assert score(other, side_by_side, calibrated_model) == want
+            return
+        with pytest.raises(ValueError, match=message):
+            score(other, side_by_side, calibrated_model)
+
+    @pytest.mark.parametrize(
+        "bin_, azimuth, message",
+        [
+            (30, 366.0, "^bin 30 of 'b' is not one of the model's 30 bins$"),
+            (-1, -6.0, "^bin -1 of 'b' is not one of the model's 30 bins$"),
+            (1, 12.0, "^'b' plays at 12.0 degrees, not at the center of bin 1 of 12-degree bins$"),
+            (1, math.nextafter(18.0, 0.0), "^'b' plays at 17.999999999999996 degrees, not at"),
+            (1, math.nan, "^'b' plays at nan degrees, not at the center of bin 1 of"),
+        ],
+    )
+    def test_bin_of_the_model_played_at_its_center(
+        self, score, calibrated_model, side_by_side, bin_, azimuth, message
+    ):
+        solution = solved(calibrated_model, side_by_side)
+        a, b = solution.assignments
+        b = dataclasses.replace(b, sound_bin=bin_, sound_azimuth_deg=azimuth)
+        with pytest.raises(ValueError, match=message):
+            score(dataclasses.replace(solution, assignments=(a, b)), side_by_side, calibrated_model)
 
 
 class TestExpectedAccuracy:
