@@ -53,7 +53,8 @@ def mirror_front_back(a):
 
 def _check_bin_size(bin_size_deg: int) -> int:
     size = int(bin_size_deg)
-    if size != bin_size_deg or size <= 0 or 360 % size != 0:
+    is_bool = isinstance(bin_size_deg, (bool, np.bool_))  # True == 1, but is no size
+    if is_bool or size != bin_size_deg or size <= 0 or 360 % size != 0:
         raise ValueError(f"bin size must be a positive divisor of 360, got {bin_size_deg!r}")
     return size
 

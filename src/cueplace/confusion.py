@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .angles import bin_centers, bin_count_for, bin_of
+from .angles import _check_bin_size, bin_centers, bin_count_for, bin_of
 
 # Half-open [lo, hi) arcs around the listener, ascending from front's lower
 # edge. They tile the circle, so every azimuth lies in exactly one.
@@ -130,10 +130,11 @@ class SyntheticModelParams:
 class ConfusionModel:
     """Azimuth confusion matrix. Immutable once constructed.
 
-    Construction keeps a read-only float copy of `matrix` and checks that it
-    is bin_count x bin_count for the bin size, finite and within [0, 1], so
-    every row CDF is non-decreasing. Rows summing to 1 is checked by
-    `validate`, whose tolerance depends on where the matrix came from.
+    Construction keeps the checked bin size as an int (a bool is refused) and
+    a read-only float copy of `matrix`, and checks that the matrix is
+    bin_count x bin_count, finite and within [0, 1], so every row CDF is
+    non-decreasing. Rows summing to 1 is checked by `validate`, whose
+    tolerance depends on where the matrix came from.
     """
 
     bin_size_deg: int
@@ -144,7 +145,8 @@ class ConfusionModel:
         m = np.array(self.matrix, dtype=float)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        n = bin_count_for(self.bin_size_deg)
+        object.__setattr__(self, "bin_size_deg", _check_bin_size(self.bin_size_deg))
+        n = 360 // self.bin_size_deg
         if m.shape != (n, n):
             raise ModelFormatError(
                 f"matrix must be {n}x{n} for bin size {self.bin_size_deg}, got {m.shape}"

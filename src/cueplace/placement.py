@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,27 +155,23 @@ def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> Pla
     n, bins = q.shape
     width = bins - n + 1
 
+    # cuts[j, r, k] = q[j, (r + k) mod bins]: under cut r, rotated position k
+    # is a window of row j written twice, read as one strided view (never
+    # written: its windows overlap).
+    doubled = np.concatenate([q, q[:, :-1]], axis=1)
+    s0, s1 = doubled.strides
+    cuts = np.ndarray((n, bins, bins), np.int64, doubled, 0, (s0, s1, s1))
     # f[r, k]: best path value with element j at rotated position j + k under
     # cut r; the other positions leave too few bins before or after j. Element
     # j at j + k follows element j - 1 at any j - 1 + k' with k' <= k.
-    orig_by_cut = _orig_by_cut(bins)
-    f = q[0].take(orig_by_cut[:, :width])
+    f = cuts[0, :, :width]
     for j in range(1, n):
-        f = q[j].take(orig_by_cut[:, j : j + width]) + np.maximum.accumulate(f, axis=1)
+        f = cuts[j, :, j : j + width] + np.maximum.accumulate(f, axis=1)
     per_cut_best = f.max(axis=1)
     cut = int(np.argmax(per_cut_best))  # first max: lowest cut wins ties
     if per_cut_best[cut] <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
     return _finish(scores, order, _extract_lex_min(q, cut), "dp_exact", cut)
-
-
-@lru_cache(maxsize=32)  # a model has one of the 24 bin counts that divide 360
-def _orig_by_cut(bins: int) -> np.ndarray:
-    """Read-only table of the original bin (k + r) mod bins at rotated position k, cut r."""
-
-    table = np.add.outer(np.arange(bins), np.arange(bins)) % bins
-    table.flags.writeable = False
-    return table
 
 
 def _extract_lex_min(q: np.ndarray, cut: int) -> list[int]:
@@ -194,10 +189,9 @@ def _extract_lex_min(q: np.ndarray, cut: int) -> list[int]:
 
     n, bins = q.shape
     width = bins - n + 1
-    orig = _orig_by_cut(bins)[cut]
-    # columns reversed (band column k at width - 1 - k) so suffix maxima are
-    # prefix maxima
-    cols = orig[np.arange(n)[:, None] + np.arange(width - 1, -1, -1)[None, :]]
+    # original bin of element i at band column k, columns reversed (k at
+    # width - 1 - k) so suffix maxima are prefix maxima
+    cols = (np.arange(n)[:, None] + np.arange(cut + width - 1, cut - 1, -1)) % bins
     keys = (q[np.arange(n)[:, None], cols] << TIE_BITS) + (TIE_MASK - cols)
     floor = np.int64(MASKED << TIE_BITS)
     best = np.empty_like(keys)

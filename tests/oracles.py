@@ -5,11 +5,13 @@ a time, the way the definitions read. The library's vectorized versions
 must agree with them exactly (`np.array_equal`), not within a tolerance:
 the arithmetic per element is the same, only the looping moved into NumPy.
 `brute_force_solve` enumerates every feasible assignment as an independent
-check on the solver's dynamic program, and `extract_lex_min` is the
-full-width backward pass with a forward greedy that the solver's keyed
-band extraction replaced. `synthesize_model_scipy` builds a model one row
-at a time on `scipy.special.ndtr`, which it imports when called; SciPy is
-needed by the tests only.
+check on the solver's dynamic program, `per_cut_best` is that program's
+forward pass gathering each cut through a `(k + r) mod bins` index table,
+where the solver reads windows of a doubled score row, and
+`extract_lex_min` is the full-width backward pass with a forward greedy
+that the solver's keyed band extraction replaced. `synthesize_model_scipy`
+builds a model one row at a time on `scipy.special.ndtr`, which it imports
+when called; SciPy is needed by the tests only.
 """
 
 from __future__ import annotations
@@ -321,6 +323,20 @@ def brute_force_solve(
     if best <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
     return _finish(scores, order, np.array(best_bins, dtype=int), "brute_force", best_cut)
+
+
+def per_cut_best(q: np.ndarray) -> np.ndarray:
+    """Best path value under each cut of `placement.solve`'s forward pass,
+    reading element j at rotated position k under cut r as
+    `q[j].take((r + k) % bins)` from a bins x bins index table."""
+
+    n, bins = q.shape
+    width = bins - n + 1
+    orig_by_cut = np.add.outer(np.arange(bins), np.arange(bins)) % bins
+    f = q[0].take(orig_by_cut[:, :width])
+    for j in range(1, n):
+        f = q[j].take(orig_by_cut[:, j : j + width]) + np.maximum.accumulate(f, axis=1)
+    return f.max(axis=1)
 
 
 def extract_lex_min(q: np.ndarray, cut: int) -> np.ndarray | None:

@@ -102,6 +102,12 @@ class TestConstructorInvariants:
             model.matrix[0, 0] = 0.5
         assert cp.ConfusionModel(120, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).matrix.dtype == float
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_a_bool_bin_size(self, flag):
+        # True == 1, so an integrality check alone took it for 1-degree bins
+        with pytest.raises(ValueError, match="bin size"):
+            cp.ConfusionModel(flag, np.eye(360))
+
     def test_load_model_names_file_and_cell(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("bin_size_deg,120\n1,0,0\n0.5,0.75,-0.25\n0,0,1\n")
@@ -300,6 +306,17 @@ class TestFileRoundTrip:
         loaded = cp.load_model(path)
         assert loaded.bin_size_deg == 12
         np.testing.assert_array_equal(loaded.matrix, calibrated_model.matrix)
+
+    @pytest.mark.parametrize("size", [12.0, np.int64(12)])
+    def test_integral_bin_size_saves_as_int(self, tmp_path, size):
+        model = cp.ConfusionModel(size, np.eye(30))
+        assert type(model.bin_size_deg) is int
+        path = tmp_path / "model.csv"
+        cp.save_model(model, path)
+        assert path.read_text().splitlines()[0] == "bin_size_deg,12"
+        loaded = cp.load_model(path)
+        assert loaded.bin_size_deg == 12
+        np.testing.assert_array_equal(loaded.matrix, model.matrix)
 
     def test_save_is_byte_stable(self, tmp_path, calibrated_model):
         p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"

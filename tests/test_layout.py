@@ -168,7 +168,7 @@ class TestGeometry:
         lay = cp.Layout((cp.Element("a", 10.0), cp.Element("b", 200.0)))
         assert lay.geometry(np.int64(12)) is lay.geometry(12) is lay.geometry(12.0)
         assert lay.geometry(3) is not lay.geometry(12)
-        for bad in (7, 0, -12, 12.5):
+        for bad in (7, 0, -12, 12.5, True, np.True_):  # True == 1, but is no size
             with pytest.raises(ValueError):
                 lay.geometry(bad)
         assert [type(size) for size in lay._geometry] == [int, int]

@@ -15,7 +15,7 @@ from cueplace.placement import (
     _ordered_quantized,
 )
 from tests.conftest import random_layout, random_scores
-from tests.oracles import brute_force_solve, extract_lex_min
+from tests.oracles import brute_force_solve, extract_lex_min, per_cut_best
 
 
 def scores_from(values, azimuths, bin_size):
@@ -296,6 +296,33 @@ class TestLexMinExtraction:
     def test_every_cut_feasible_without_masks(self):
         q = np.random.default_rng(8).integers(0, 2, size=(5, 12)).astype(np.int64)
         assert self.assert_matches_oracle(q) == 12
+
+
+class TestFineBins:
+    """Beyond brute force's reach, `solve` takes the cut of the index-table
+    forward pass (first best), the bins of the full-width extraction and the
+    objective those bins give, on built and on tied random scores."""
+
+    @pytest.mark.parametrize("cap", [None, 60.0])
+    @pytest.mark.parametrize("bin_size,n", [(3, 12), (3, 100), (1, 12), (1, 100), (1, 300)])
+    def test_matches_index_table_oracle(self, bin_size, n, cap):
+        model = cp.synthesize_model(cp.calibrated_params(bin_size))
+        for seed in range(3):
+            rng = np.random.default_rng([bin_size, n, seed])
+            if seed == 0:
+                scores = cp.build_score_matrix(model, random_layout(rng, n))
+            else:
+                scores = random_scores(rng, n, model, quantize=0.25 * seed)
+            order, q = _ordered_quantized(scores, cap)
+            best = per_cut_best(q)
+            solution = cp.solve(scores, cap)
+            assert solution.cut_rotation == int(np.argmax(best))
+            by_id = solution.bins_by_element()
+            bins = [by_id[scores.layout.elements[i].id] for i in order]
+            assert bins == extract_lex_min(q, solution.cut_rotation).tolist()
+            assert q[np.arange(n), bins].sum() == best.max()
+            values = scores.values[order, bins]
+            assert solution.objective == math.fsum(values.tolist())
 
 
 class TestSolverMemory:
