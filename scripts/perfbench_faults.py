@@ -9,8 +9,9 @@ perfbench's own):
 Loads `perfbench/run.py` from the given checkout unchanged, runs it in this
 process, and reads `getrusage(RUSAGE_SELF).ru_minflt` just before and just
 after its timed request loop (`drive`), so set-up, warm-up and the
-subprocesses it starts are not counted. Prints perfbench's report, then
-one line `FAULTS {"minflt", "requests", "minflt_per_request"}`.
+subprocesses it starts are not counted. Prints one line
+`FAULTS {"minflt", "requests", "minflt_per_request"}` as soon as that loop
+returns, then perfbench's report, whose last line stays its JSON result.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import get_args
 
 from . import __version__
 from .confusion import (
@@ -37,7 +38,7 @@ from .confusion import (
 )
 from .layout import Layout, load_layout
 from .placement import InfeasibleLayoutError, PlacementSolution, colocated_solution, solve
-from .scoring import Weights, build_score_matrix
+from .scoring import ConeRule, Weights, build_score_matrix
 from .simulate import dump_trials, expected_localization_errors, run_simulation, table1_statistics
 
 EXIT_OK = 0
@@ -245,11 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_args(p):
         p.add_argument("--model", help="confusion model CSV")
         p.add_argument("--weights", default="0.9,0.1", help="blur,cone weights")
-        p.add_argument(
-            "--cone-rule",
-            choices=("point-plus-mirror", "mirror-only"),
-            default="point-plus-mirror",
-        )
+        p.add_argument("--cone-rule", choices=get_args(ConeRule), default="point-plus-mirror")
         p.add_argument(
             "--max-displacement",
             type=float,

@@ -98,6 +98,7 @@ class SyntheticModelParams:
         size = self.bin_size_deg
         if isinstance(size, bool) or not isinstance(size, numbers.Integral):
             raise ModelFormatError(f"bin_size_deg must be an integer, got {size!r}")
+        object.__setattr__(self, "bin_size_deg", int(size))  # a NumPy integer does not dump to JSON
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SyntheticModelParams":
@@ -453,137 +454,6 @@ def calibrated_params(bin_size_deg: int = 12) -> SyntheticModelParams:
         },
         bin_size_deg=bin_size_deg,
     )
-
-
-# `sample_bins` searches the trials whose guide cell holds a CDF entry this
-# many trials at a time, which bounds the search's working arrays. Each of
-# `run_simulation`'s chunks (at most 2^14 trials unless n * B is more) is
-# then searched in one pass.
-_SEARCH_BLOCK = 1 << 14
-
-
-def _guide_cells(bin_count: int, trials_per_row: int) -> int:
-    """Cells per row of the sampler's guide table: the largest power of two
-    not above 16 per bin, nor above the trials a row serves, so building
-    the table never costs more than looking the trials up in it."""
-
-    k = max(1, min(16 * bin_count, trials_per_row))
-    return 1 << (k.bit_length() - 1)
-
-
-def _build_guide(
-    model: ConfusionModel, rows: np.ndarray, trials: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Guide table of `sample_bins` for the given model rows (repeats
-    allowed), serving `trials` draws in all.
-
-    It splits [0, 1) into K equal cells, K a power of two from
-    `_guide_cells(B, trials // rows.size)`, plus one cell for u >= 1, and
-    records per cell how many CDF entries of each row lie below the cell
-    and below its upper edge. Scaling by K is exact, so every entry falls
-    in its true cell. Returns the rows' CDFs, the table, and the
-    binary-search steps its widest cell needs.
-    """
-
-    nb = model.bin_count
-    r = rows.size
-    cells = _guide_cells(nb, trials // max(r, 1))
-
-    # cdf[j, i] is entry j of row i. It is stored column by column with a
-    # row of NaN after the last entry, so a search probe past the end of a
-    # row lands on NaN (or is clipped to it) and `cdf <= u` is false there.
-    cdf = np.empty((nb + 1, r))
-    np.cumsum(model.matrix[rows].T, axis=0, out=cdf[:nb])
-    cdf[nb] = np.nan
-
-    # counts[c, i] = entries of row i below c/K for c <= K, and all of them
-    # for c = K + 1, capped at the last bin. An entry lies in cell
-    # floor(entry * K); the cast truncates, which is the floor for entries >= 0.
-    cell_of = np.multiply(cdf[:nb], cells, out=np.empty((nb, r), np.intp), casting="unsafe")
-    np.minimum(cell_of, cells, out=cell_of)
-    cell_of *= r
-    cell_of += np.arange(r, 2 * r)
-    counts = np.bincount(cell_of.ravel(), minlength=(cells + 2) * r).reshape(cells + 2, r)
-    del cell_of  # each large temporary goes before the next, keeping the peak low
-    np.cumsum(counts, axis=0, out=counts)
-    np.minimum(counts, nb - 1, out=counts)
-    below, span = counts[:-1], np.diff(counts, axis=0)
-
-    # table[c, i]: a cell whose span is 0 holds the answer for every uniform
-    # in it. Any other holds the bitwise complement of the flat position in
-    # `cdf` of the first entry it may still count.
-    table = below * r
-    table += np.arange(r)
-    np.invert(table, out=table)
-    np.copyto(table, below, where=span == 0)
-    return cdf, table, int(span.max(initial=0)).bit_length()
-
-
-def sample_bins(
-    guide: tuple[np.ndarray, np.ndarray, int], row_index: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF draw of one perceived bin per trial.
-
-    `guide` is `_build_guide(model, rows, trials)`. The cue of trial k plays
-    in bin `rows[row_index[k]]` and is perceived in the bin numbered by how
-    many of that row's CDF entries are at or below the uniform `u[k]`,
-    capped at the last bin. Both arguments are 1-d and `u` is non-negative;
-    values at or past 1 are allowed. The model keeps its entries
-    non-negative, so each CDF is non-decreasing.
-
-    The count is found by indexed search (Chen & Asau, AIIE Trans. 6(2),
-    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
-    A trial whose guide cell holds no CDF entry (after the cap) is answered
-    by one table lookup; the others are resolved by a binary search over
-    the entries inside their cell. The guide is built once and serves any
-    number of calls, so a caller can draw its trials block by block. Each
-    call's working memory is one trial-length array, the result, used
-    first for the trials' cell indices, and the search's arrays for at most
-    `_SEARCH_BLOCK` trials.
-    """
-
-    cdf, table, steps = guide
-    cells, r = table.shape[0] - 1, table.shape[1]  # K: the last cell holds u >= 1
-
-    out = np.multiply(u, cells, out=np.empty(u.size, np.intp), casting="unsafe")
-    np.minimum(out, cells, out=out)
-    out *= r
-    out += row_index
-    # Each trial reads its own cell index before its table entry overwrites it.
-    np.take(table, out, out=out, mode="clip")
-
-    for lo in range(0, out.size, _SEARCH_BLOCK):
-        _search(cdf, steps, out[lo : lo + _SEARCH_BLOCK], u[lo : lo + _SEARCH_BLOCK])
-    return out
-
-
-def _search(cdf: np.ndarray, steps: int, block: np.ndarray, u: np.ndarray) -> None:
-    """Settle the trials of one block of `sample_bins` whose guide cell
-    holds CDF entries, in place.
-
-    A negative entry of `block` is the complement of the flat position in
-    `cdf` of its trial's first candidate entry (count c of row i sits at
-    c * r + i); it becomes the trial's perceived bin. The binary search
-    jumps 2^(steps-1), ..., 2, 1 entries ahead, taking a jump when the
-    entry it lands on is <= u. `probe` is where the next jump lands: after
-    trying a jump of 2^s it moves 2^s - 2^(s-1) entries if the jump was
-    taken, else -2^(s-1). The working arrays are freed on return, so no
-    two blocks' arrays are alive at once.
-    """
-
-    nb, r = cdf.shape[0] - 1, cdf.shape[1]
-    flat = cdf.ravel()
-    trials = np.flatnonzero(block < 0)
-    probe = ~block.take(trials)
-    probe += ((1 << steps >> 1) - 1) * r
-    draws = u.take(trials)
-    entry, hit = np.empty_like(draws), np.empty(trials.size, bool)
-    for s in reversed(range(steps)):
-        np.less_equal(flat.take(probe, out=entry, mode="clip"), draws, out=hit)
-        np.add(probe, r << s, out=probe, where=hit)
-        probe -= (1 << s >> 1) * r
-    probe //= r  # the count of entries <= u
-    block[trials] = np.minimum(probe, nb - 1, out=probe)
 
 
 def diagonal_argmax_fraction(model: ConfusionModel) -> float:

@@ -104,7 +104,6 @@ def _cone_distances(layout: Layout, bin_size_deg: int, cone_rule: ConeRule) -> n
         d = layout.geometry(bin_size_deg).adjusted
     else:
         d = angular_distance(vis[:, None], _bin_tables(bin_size_deg)[1])
-    nearest = np.argmin(d, axis=0)
     two = np.partition(d, 1, axis=0)
-    is_nearest = np.arange(vis.size)[:, None] == nearest[None, :]
-    return np.where(is_nearest, two[1], two[0])
+    # An element tied for nearest gets the second nearest, which equals the nearest.
+    return np.where(d == two[0], two[1], two[0])

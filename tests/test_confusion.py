@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -264,6 +265,13 @@ class TestParams:
         assert again.blur_sd_deg == dict(params.blur_sd_deg)
         assert again.flip_prob == dict(params.flip_prob)
         assert again.bin_size_deg == params.bin_size_deg
+
+    @pytest.mark.parametrize("size", [np.int64(12), np.int32(3)])
+    def test_numpy_bin_size_dumps_to_json(self, size):
+        params = cp.calibrated_params(size)
+        d = json.loads(json.dumps(params.to_dict()))
+        assert d["bin_size_deg"] == size and type(params.bin_size_deg) is int
+        assert cp.SyntheticModelParams.from_dict(d) == params
 
     def test_from_dict_rejects_unknown_fields(self):
         d = cp.calibrated_params().to_dict()

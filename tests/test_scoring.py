@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cueplace as cp
@@ -139,6 +139,10 @@ class TestScoreMatrixMatchesScalarOracle:
         cone_rule=st.sampled_from(["point-plus-mirror", "mirror-only"]),
         weights=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
     )
+    # Ties for nearest: bin center 6 (and mirror 174) is 6 degrees from both 0
+    # and 12, bin center 18 (and mirror 162) from both 12 and 24.
+    @example(az=[0.0, 12.0, 24.0], bin_size=12, cone_rule="point-plus-mirror", weights=(0.0, 1.0))
+    @example(az=[0.0, 12.0, 24.0], bin_size=12, cone_rule="mirror-only", weights=(0.0, 1.0))
     @settings(max_examples=150)
     def test_array_equal(self, az, bin_size, cone_rule, weights):
         model = MODELS[bin_size]

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under `scripts/` still run against the library."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -54,3 +55,15 @@ def test_compare_strategies_at_zero_stderr(tmp_path):
     lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "layout,strategy,accuracy,stderr,exact_accuracy"
     assert len(lines) == 11
+
+
+def test_perfbench_faults_counts_the_timed_loop():
+    pytest.importorskip("scipy")  # perfbench's machine facts import it
+    args = ("--workload", "interactive-default", "--seed", "1", "--seconds", "1", "--trace", "0")
+    done = run_script("perfbench_faults.py", ".", *args, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    faults = [json.loads(line[len("FAULTS ") :]) for line in lines if line.startswith("FAULTS ")]
+    assert len(faults) == 1
+    assert faults[0]["requests"] > 0 and faults[0]["minflt"] >= 0
+    assert json.loads(lines[-1])["correct"] is True

@@ -11,15 +11,15 @@ from hypothesis.extra import numpy as hnp
 
 import cueplace as cp
 from cueplace import simulate
-from cueplace.confusion import (
-    DEFAULT_REGION_BOUNDS,
-    ModelFormatError,
+from cueplace.confusion import DEFAULT_REGION_BOUNDS, ModelFormatError, _regions_by_bin
+from cueplace.simulate import (
+    _CHUNK_TRIALS,
     _build_guide,
     _guide_cells,
-    _regions_by_bin,
+    _regions_with_centers,
+    expected_accuracy,
     sample_bins,
 )
-from cueplace.simulate import _CHUNK_TRIALS, _regions_with_centers, expected_accuracy
 from tests.conftest import random_layout
 from tests.oracles import (
     expected_accuracy_per_element,
