@@ -14,17 +14,10 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
 from scipy.optimize import least_squares
 
-from cueplace.confusion import (
-    LOCALIZATION_ERROR_TARGETS,
-    REGIONS,
-    SyntheticModelParams,
-    diagonal_argmax_fraction,
-    synthesize_model,
-)
-from cueplace.simulate import expected_localization_errors, table1_statistics
+from cueplace.confusion import LOCALIZATION_ERROR_TARGETS, REGIONS, SyntheticModelParams, synthesize_model
+from cueplace.simulate import expected_localization_errors
 
 X0 = (30.0, 0.2)
 BOUNDS = ([1.0, 0.0], [150.0, 0.95])
@@ -56,7 +49,6 @@ def fit_region(region: str, bin_size: int) -> tuple[float, float]:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--bin-size", type=int, default=12)
-    ap.add_argument("--trials-per-bin", type=int, default=2000)
     args = ap.parse_args()
 
     fitted_sd: dict[str, float] = {}
@@ -84,19 +76,6 @@ def main() -> None:
             dev = 100.0 * (got["circular"] - t["circular"]) / t["circular"]
             line += f"   target circ={t['circular']:6.2f} (dev {dev:+.2f}%)"
         print(line)
-
-    stats = table1_statistics(model, trials_per_bin=args.trials_per_bin, seed=0)
-    print(f"\nsimulated means at {args.trials_per_bin} trials/bin (seed 0):")
-    for region, s in stats.items():
-        print(
-            f"  {region:>5}: circ={s.circular_mean:6.2f} (sd {s.circular_sd:5.2f}) "
-            f"adj={s.adjusted_mean:6.2f} cone={s.cone_effect_mean:6.2f}"
-        )
-
-    frac = diagonal_argmax_fraction(model)
-    n = model.bin_count
-    print(f"\ndiagonal argmax fraction: {frac:.4f} ({round(frac * n)}/{n})")
-    print("row blur check: max P on diagonal for", int(np.sum(np.argmax(model.matrix, axis=1) == np.arange(n))), "of", n, "rows")
 
 
 if __name__ == "__main__":

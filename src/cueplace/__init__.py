@@ -9,7 +9,6 @@ listener verifies placements by simulation.
 
 from .angles import (
     angular_distance,
-    bin_center,
     bin_centers,
     bin_count_for,
     bin_of,
@@ -59,7 +58,6 @@ __all__ = [
     "angular_distance",
     "mirror_front_back",
     "bin_of",
-    "bin_center",
     "bin_centers",
     "bin_count_for",
     "REGIONS",

@@ -16,7 +16,6 @@ __all__ = [
     "mirror_front_back",
     "bin_count_for",
     "bin_of",
-    "bin_center",
     "bin_centers",
 ]
 
@@ -74,14 +73,6 @@ def bin_of(a, bin_size_deg: int):
     size = _check_bin_size(bin_size_deg)
     idx = np.floor_divide(normalize(a), size).astype(int)
     return int(idx) if idx.ndim == 0 else idx
-
-
-def bin_center(index, bin_size_deg: int):
-    """Center azimuth of bin `index`."""
-
-    size = _check_bin_size(bin_size_deg)
-    c = (np.asarray(index, dtype=float) + 0.5) * size
-    return float(c) if c.ndim == 0 else c
 
 
 def bin_centers(bin_size_deg: int) -> np.ndarray:

@@ -146,7 +146,7 @@ def _cmd_eval(args) -> int:
             }
             for name, r in reports.items()
         },
-        "optimized_minus_colocated": {"accuracy_gap": gap, "combined_stderr": se},
+        "optimized_minus_colocated": {"accuracy_gap": gap, "paired_stderr": se},
     }
     _emit_json(out, args.out)
     if args.csv:

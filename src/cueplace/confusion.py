@@ -167,14 +167,18 @@ class ConfusionModel:
         return self.matrix.shape[0]
 
     def validate(self, row_sum_tol: float = 1e-9) -> None:
-        """Check that every row sums to 1 within `row_sum_tol`."""
+        """Check that every row sums to 1 within `row_sum_tol`, a finite
+        non-negative number."""
 
+        tol = row_sum_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+            raise ValueError(f"row_sum_tol must be a finite non-negative number, got {tol!r}")
         sums = self.matrix.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > row_sum_tol)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
         if bad.size:
             r = int(bad[0])
             raise ModelFormatError(
-                f"row {r} sums to {sums[r]!r}, expected 1 within {row_sum_tol:g}", row=r
+                f"row {r} sums to {sums[r]!r}, expected 1 within {tol:g}", row=r
             )
 
 

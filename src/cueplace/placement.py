@@ -22,6 +22,7 @@ included.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +74,6 @@ class PlacementSolution:
     cut_rotation: int
     warning: str | None = None
 
-    def bins_by_element(self) -> dict[str, int]:
-        return {a.id: a.sound_bin for a in self.assignments}
-
 
 def _ordered_quantized(scores: ScoreMatrix, max_displacement_deg: float | None):
     """Integer scores in circular element order, far bins masked if asked."""
@@ -87,12 +85,11 @@ def _ordered_quantized(scores: ScoreMatrix, max_displacement_deg: float | None):
     limit = float(np.abs(s).max()) or 1.0
     q = np.rint(np.multiply(s, (1 << QUANT_BITS) / limit, out=s), out=s).astype(np.int64)
     if max_displacement_deg is not None:
-        if math.isnan(max_displacement_deg) or max_displacement_deg < 0:
-            raise ValueError(
-                f"max_displacement_deg must be a non-negative number, got {max_displacement_deg!r}"
-            )
+        cap = max_displacement_deg
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Real) or not cap >= 0:
+            raise ValueError(f"max_displacement_deg must be a non-negative number, got {cap!r}")
         circular = scores.layout.geometry(scores.model.bin_size_deg).circular
-        far = circular[order] > max_displacement_deg
+        far = circular[order] > cap
         q = np.where(far, np.int64(MASKED), q)
     return order, q
 
@@ -115,21 +112,18 @@ def _raise_infeasible() -> None:
 
 def _finish(
     scores: ScoreMatrix,
-    order: list[int],
-    bins_in_order: np.ndarray | list[int],
+    bins: np.ndarray,
     solver: str,
     cut: int,
     warning: str | None = None,
 ) -> PlacementSolution:
-    layout = scores.layout
-    n = len(order)
-    bins = np.empty(n, dtype=int)
-    bins[order] = bins_in_order
+    """The solution that plays element i of the layout in bin `bins[i]`."""
+
     centers = _bin_tables(scores.model.bin_size_deg)[0][bins].tolist()
-    per_score = scores.values[np.arange(n), bins].astype(float).tolist()
+    per_score = scores.values[np.arange(bins.size), bins].astype(float).tolist()
     assignments = tuple(
         Assignment(e.id, b, c, e.visual_azimuth_deg, e.elevation_deg)
-        for e, b, c in zip(layout.elements, bins.tolist(), centers)
+        for e, b, c in zip(scores.layout.elements, bins.tolist(), centers)
     )
     return PlacementSolution(
         assignments=assignments,
@@ -171,7 +165,9 @@ def solve(scores: ScoreMatrix, max_displacement_deg: float | None = None) -> Pla
     cut = int(np.argmax(per_cut_best))  # first max: lowest cut wins ties
     if per_cut_best[cut] <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
-    return _finish(scores, order, _extract_lex_min(q, cut), "dp_exact", cut)
+    placed = np.empty(n, dtype=int)
+    placed[order] = _extract_lex_min(q, cut)
+    return _finish(scores, placed, "dp_exact", cut)
 
 
 def _extract_lex_min(q: np.ndarray, cut: int) -> list[int]:
@@ -214,11 +210,9 @@ def colocated_solution(scores: ScoreMatrix) -> PlacementSolution:
     """Baseline: every sound plays from its element's own visual bin."""
 
     _check_instance(scores)
-    layout = scores.layout
-    order = layout.circular_order()
     # the azimuths are normalized, so floor division gives their bins
-    bins_in_order = (layout.visual_azimuths[order] // scores.model.bin_size_deg).astype(int)
+    bins = (scores.layout.visual_azimuths // scores.model.bin_size_deg).astype(int)
     warning = None
-    if len(set(bins_in_order.tolist())) != len(bins_in_order):
+    if len(set(bins.tolist())) != bins.size:
         warning = "degenerate baseline: multiple elements share a visual bin"
-    return _finish(scores, order, bins_in_order, "colocated", 0, warning=warning)
+    return _finish(scores, bins, "colocated", 0, warning=warning)

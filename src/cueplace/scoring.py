@@ -9,6 +9,7 @@ safety). Both live in [0, 1] so the weights are comparable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -34,8 +35,9 @@ class Weights:
     cone: float = DEFAULT_W_CONE
 
     def __post_init__(self):
-        if not all(math.isfinite(w) and w >= 0 for w in (self.blur, self.cone)):
-            raise ValueError(f"weights must be finite and non-negative, got {self}")
+        for w in (self.blur, self.cone):
+            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 <= w < math.inf:
+                raise ValueError(f"weights must be finite and non-negative numbers, got {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,14 +49,6 @@ class ScoreMatrix:
     values: np.ndarray
     model: ConfusionModel
     layout: Layout
-
-    @property
-    def n_elements(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def bin_count(self) -> int:
-        return self.values.shape[1]
 
 
 def build_score_matrix(

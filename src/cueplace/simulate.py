@@ -59,7 +59,11 @@ def _bins_in_layout_order(
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """Outcome of a virtual-listener run for one placement strategy."""
+    """Outcome of a virtual-listener run for one placement strategy.
+
+    `histogram[t, p]` counts the trials with target t perceived in bin p,
+    and `decided[p]` is the element the listener names for bin p; both are
+    read-only."""
 
     strategy: str
     trials: int
@@ -72,18 +76,51 @@ class SimulationReport:
     mean_circular_error_deg: float
     mean_adjusted_error_deg: float
     mean_cone_effect_deg: float
+    histogram: np.ndarray
+    decided: np.ndarray
 
     def accuracy_gap(self, other: "SimulationReport") -> tuple[float, float]:
-        """Accuracy difference (self - other) and its combined standard error.
+        """Accuracy difference (self - other) and its paired standard error.
 
-        The combined error assumes independent runs. Two runs on one seed,
-        element count and trial count share their targets and uniforms, so
-        their accuracies correlate and it overstates the gap's error.
+        Both runs must share their stream: the same seed, trial count and
+        element count, else a ValueError. The error is that of the mean
+        per-trial difference in correctness, from the count of trials that
+        one run gets right and the other wrong (`_discordant_trials`).
         """
 
+        mine, theirs = ((r.seed, r.trials, r.histogram.shape[0]) for r in (self, other))
+        if mine != theirs:
+            raise ValueError(
+                "a paired gap needs two runs on one stream; their (seed, trials, elements) "
+                f"are {mine} and {theirs}"
+            )
         gap = self.accuracy - other.accuracy
-        se = math.hypot(self.accuracy_stderr, other.accuracy_stderr)
-        return gap, se
+        n = self.trials
+        return gap, math.sqrt(max(_discordant_trials(self, other) / n - gap * gap, 0.0) / n)
+
+
+def _discordant_trials(a: SimulationReport, b: SimulationReport) -> int:
+    """Trials that exactly one of two runs on one stream gets right.
+
+    A trial's percept never decreases as its uniform grows, so within a
+    target each run's trials sorted by percept are the trials sorted by
+    uniform, and `np.repeat(hit, histogram.ravel())`, with `hit[t, p]` true
+    where bin p decides target t, lists one run's per-trial correctness in
+    that shared order. The count is that of the positions where the two
+    lists differ, found from the lists' run boundaries (at most n * B each)
+    without a trial-length array.
+    """
+
+    ends = [np.cumsum(r.histogram.ravel()) for r in (a, b)]
+    hits = [(r.decided == np.arange(len(r.histogram))[:, None]).ravel() for r in (a, b)]
+    # Positions [start, stop) between consecutive boundaries of either list
+    # hold one value per list: that of the cell whose run covers stop - 1.
+    stops = np.union1d(*ends)
+    starts = np.concatenate(([0], stops[:-1]))
+    differ = np.not_equal(
+        *(h[np.searchsorted(e, stops - 1, side="right")] for e, h in zip(ends, hits))
+    )
+    return int(np.add.reduce((stops - starts)[differ]))
 
 
 # The one block size of trial-length working arrays: a run draws its trials
@@ -318,7 +355,8 @@ def run_simulation(
     # operands take NumPy's fast `add.at` path.
     counts = np.zeros((n, n), dtype=np.intp)
     np.add.at(counts.ravel(), (np.arange(0, n * n, n)[:, None] + decided).ravel(), hist)
-    counts.flags.writeable = False
+    histogram = hist.reshape(n, nb)
+    counts.flags.writeable = histogram.flags.writeable = False
     per_trials = counts.sum(axis=1)
     per_acc = np.where(per_trials > 0, np.diag(counts) / np.maximum(per_trials, 1), np.nan)
     # The count of correct trials over the trials: what the mean of a 0/1
@@ -337,6 +375,8 @@ def run_simulation(
         mean_circular_error_deg=mean_circular,
         mean_adjusted_error_deg=mean_adjusted,
         mean_cone_effect_deg=mean_circular - mean_adjusted,
+        histogram=histogram,
+        decided=decided,
     )
 
 

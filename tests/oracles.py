@@ -27,7 +27,6 @@ import numpy as np
 import cueplace as cp
 from cueplace.angles import (
     angular_distance,
-    bin_center,
     bin_centers,
     bin_count_for,
     bin_of,
@@ -79,8 +78,7 @@ def synthesize_model_scipy(params: cp.SyntheticModelParams) -> cp.ConfusionModel
     n = bin_count_for(params.bin_size_deg)
     edges = np.arange(n + 1, dtype=float) * params.bin_size_deg
     matrix = np.empty((n, n))
-    for t in range(n):
-        theta = bin_center(t, params.bin_size_deg)
+    for t, theta in enumerate(bin_centers(params.bin_size_deg).tolist()):
         region = region_of(theta)
         sd = float(params.blur_sd_deg[region])
         flip = float(params.flip_prob[region])
@@ -150,8 +148,8 @@ def score_values(
         )
         cone = np.array(
             [
-                cone_distance(layout, i, bin_center(s, model.bin_size_deg), cone_rule)
-                for s in range(model.bin_count)
+                cone_distance(layout, i, c, cone_rule)
+                for c in bin_centers(model.bin_size_deg).tolist()
             ]
         )
         values[i] = weights.blur * blur + weights.cone * cone / MAX_CONE_DISTANCE_DEG
@@ -189,6 +187,39 @@ def gather_sample_rows(matrix: np.ndarray, true_bins: np.ndarray, u: np.ndarray)
     return np.minimum(idx, matrix.shape[1] - 1)
 
 
+def _trials_per_trial(
+    solution: cp.PlacementSolution,
+    layout: cp.Layout,
+    model: cp.ConfusionModel,
+    trials: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Targets and percepts of `run_simulation`'s trials in draw order, by
+    the gather sampler, and `nearest_element_decision` at each bin center."""
+
+    by_id = {a.id: a.sound_bin for a in solution.assignments}
+    bins = np.array([by_id[e.id] for e in layout.elements], dtype=int)
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(len(layout.elements), size=trials)
+    u = rng.random(trials)
+    perceived = gather_sample_rows(model.matrix, bins[targets], u)
+    return targets, perceived, nearest_decisions(layout, model.bin_size_deg)
+
+
+def correct_per_trial(
+    solution: cp.PlacementSolution,
+    layout: cp.Layout,
+    model: cp.ConfusionModel,
+    trials: int,
+    seed: int,
+) -> np.ndarray:
+    """Whether the listener names the target, per trial in draw order: two
+    runs on one seed are compared trial by trial through it."""
+
+    targets, perceived, decisions = _trials_per_trial(solution, layout, model, trials, seed)
+    return decisions[perceived] == targets
+
+
 def run_simulation_per_trial(
     solution: cp.PlacementSolution,
     layout: cp.Layout,
@@ -199,19 +230,12 @@ def run_simulation_per_trial(
 ) -> cp.SimulationReport:
     """`run_simulation` with the gather sampler, a decision, a correctness
     flag and each error kept per trial, and the confusion counts binned by
-    (target, decided). Decisions are `nearest_element_decision` at each bin
-    center."""
+    (target, decided) and the histogram by (target, percept)."""
 
-    n = len(layout.elements)
-    by_id = solution.bins_by_element()
-    bins = np.array([by_id[e.id] for e in layout.elements], dtype=int)
-    rng = np.random.default_rng(seed)
+    n, nb = len(layout.elements), model.bin_count
+    targets, perceived, decisions = _trials_per_trial(solution, layout, model, trials, seed)
 
-    targets = rng.integers(n, size=trials)
-    u = rng.random(trials)
-    perceived = gather_sample_rows(model.matrix, bins[targets], u)
-
-    decided = nearest_decisions(layout, model.bin_size_deg)[perceived]
+    decided = decisions[perceived]
     correct = decided == targets
     accuracy = float(correct.mean())
 
@@ -221,7 +245,8 @@ def run_simulation_per_trial(
     adjusted = np.minimum(circular, angular_distance(target_az, mirror_front_back(perceived_az)))
 
     counts = np.bincount(targets * n + decided, minlength=n * n).reshape(n, n)
-    counts.flags.writeable = False
+    histogram = np.bincount(targets * nb + perceived, minlength=n * nb).reshape(n, nb)
+    counts.flags.writeable = histogram.flags.writeable = decisions.flags.writeable = False
     per_trials = counts.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_acc = np.where(per_trials > 0, np.diag(counts) / np.maximum(per_trials, 1), np.nan)
@@ -238,6 +263,8 @@ def run_simulation_per_trial(
         mean_circular_error_deg=float(circular.mean()),
         mean_adjusted_error_deg=float(adjusted.mean()),
         mean_cone_effect_deg=float((circular - adjusted).mean()),
+        histogram=histogram,
+        decided=decisions,
     )
 
 
@@ -294,15 +321,16 @@ def brute_force_solve(
         )
     order, q = _ordered_quantized(scores, None)
     if max_displacement_deg is not None:
-        if not max_displacement_deg >= 0:
+        cap = max_displacement_deg
+        if isinstance(cap, bool) or not isinstance(cap, (int, float, np.floating)) or not cap >= 0:
             raise ValueError(
                 f"max_displacement_deg must be a non-negative number, got {max_displacement_deg!r}"
             )
-        size = scores.model.bin_size_deg
+        centers = bin_centers(scores.model.bin_size_deg).tolist()
         for row, i in enumerate(order):
             v = float(scores.layout.visual_azimuths[i])
             for s in range(bins):
-                if angular_distance(bin_center(s, size), v) > max_displacement_deg:
+                if angular_distance(centers[s], v) > max_displacement_deg:
                     q[row, s] = MASKED
     combos = _combos(bins, n)
     pos = np.arange(bins)
@@ -322,7 +350,9 @@ def brute_force_solve(
             best_bins = min(map(tuple, orig[combos[vals == top]]))
     if best <= INFEASIBLE_THRESHOLD:
         _raise_infeasible()
-    return _finish(scores, order, np.array(best_bins, dtype=int), "brute_force", best_cut)
+    placed = np.empty(n, dtype=int)
+    placed[order] = best_bins
+    return _finish(scores, placed, "brute_force", best_cut)
 
 
 def per_cut_best(q: np.ndarray) -> np.ndarray:
@@ -377,7 +407,7 @@ def expected_accuracy_per_element(
 ) -> float:
     """`expected_accuracy` with one boolean-mask row sum per element."""
 
-    by_id = solution.bins_by_element()
+    by_id = {a.id: a.sound_bin for a in solution.assignments}
     decided = nearest_decisions(layout, model.bin_size_deg)
     per_element = [
         float(model.matrix[by_id[e.id], decided == i].sum()) for i, e in enumerate(layout.elements)

@@ -7,6 +7,7 @@ model; see the README for why the synthetic fallback cannot go green.
 """
 
 import json
+import math
 import time
 from pathlib import Path
 from statistics import fmean
@@ -104,7 +105,8 @@ def test_criterion_3_displacement_beats_colocation(capsys, model):
         scores = cp.build_score_matrix(model, layout)
         opt = cp.run_simulation(cp.solve(scores), layout, model, trials=trials, seed=0)
         co = cp.run_simulation(cp.colocated_solution(scores), layout, model, trials=trials, seed=0)
-        gap, se = opt.accuracy_gap(co)
+        gap = opt.accuracy - co.accuracy
+        se = math.hypot(opt.accuracy_stderr, co.accuracy_stderr)  # the combined SE
         ok = ok and gap > 2.0 * se
         details.append(f"{name}: opt {opt.accuracy:.4f} vs co {co.accuracy:.4f}, gap {gap:+.4f} = {gap / se:.1f} SE")
     _emit(capsys, 3, ok, "optimized > colocated by > 2 combined SEs on both layouts; " + "; ".join(details))

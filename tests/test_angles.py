@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cueplace import (
     angular_distance,
-    bin_center,
     bin_centers,
     bin_count_for,
     bin_of,
@@ -114,14 +113,14 @@ class TestBins:
         assert bin_of(a, 12) == expected
 
     def test_bin_center(self):
-        assert bin_center(0, 12) == 6.0
-        assert bin_center(29, 12) == 354.0
-        assert bin_centers(12).shape == (30,)
-        assert bin_centers(12)[7] == bin_center(7, 12)
+        centers = bin_centers(12)
+        assert centers.shape == (30,)
+        assert (centers[0], centers[7], centers[29]) == (6.0, 90.0, 354.0)
+        assert bin_of(centers, 12).tolist() == list(range(30))
 
     @given(st.integers(min_value=0, max_value=29))
     def test_center_round_trip(self, k):
-        assert bin_of(bin_center(k, 12), 12) == k
+        assert bin_of(bin_centers(12)[k], 12) == k
 
     @given(finite_angles)
     def test_bin_of_always_valid(self, a):

@@ -71,6 +71,15 @@ class TestValidate:
             small_model(rows).validate()
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("tol", [float("nan"), math.inf, -1e-9, True, np.True_, "1e-9", None])
+    def test_rejects_a_tolerance_that_is_no_finite_non_negative_number(self, tol):
+        # a NaN tolerance would pass every matrix: no difference exceeds it
+        rows = np.eye(3)
+        rows[2, 2] = 0.5
+        with pytest.raises(ValueError, match="^row_sum_tol must be a finite non-negative number"):
+            small_model(rows).validate(row_sum_tol=tol)
+        small_model(np.eye(3)).validate(row_sum_tol=np.float32(0.0))
+
 
 class TestConstructorInvariants:
     @pytest.mark.parametrize("cell", [-0.2, 1.25, np.nan, np.inf, -np.inf])

@@ -31,11 +31,11 @@ def scores_from(values, azimuths, bin_size):
 def assert_feasible(scores, solution):
     """Distinct bins, all in range, strictly increasing under the cut."""
 
-    layout = scores.layout
-    bins = [solution.bins_by_element()[layout.elements[i].id] for i in layout.circular_order()]
+    bins = [solution.assignments[i].sound_bin for i in scores.layout.circular_order()]
+    nb = scores.values.shape[1]
     assert len(set(bins)) == len(bins)
-    assert all(0 <= b < scores.bin_count for b in bins)
-    pos = [(b - solution.cut_rotation) % scores.bin_count for b in bins]
+    assert all(0 <= b < nb for b in bins)
+    pos = [(b - solution.cut_rotation) % nb for b in bins]
     assert all(p < q for p, q in zip(pos, pos[1:]))
 
 
@@ -133,10 +133,11 @@ class TestSolveProperties:
         scores = random_scores(rng, n, cp.identity_model(12))
         sol = cp.solve(scores)
         order = scores.layout.circular_order()
+        nb = scores.values.shape[1]
         for _ in range(20):
-            cut = int(rng.integers(scores.bin_count))
-            pos = np.sort(rng.choice(scores.bin_count, size=n, replace=False))
-            bins = (pos + cut) % scores.bin_count
+            cut = int(rng.integers(nb))
+            pos = np.sort(rng.choice(nb, size=n, replace=False))
+            bins = (pos + cut) % nb
             alt = math.fsum(scores.values[order[j], bins[j]] for j in range(n))
             assert sol.objective >= alt - 1e-9
 
@@ -204,7 +205,7 @@ class TestDisplacementLimit:
             scores = random_scores(rng, k % 4 + 1, identity)
             vis = scores.layout.visual_azimuths
             exact = [
-                cp.angular_distance(cp.bin_center(int(s), 12), float(vis[i]))
+                cp.angular_distance(cp.bin_centers(12)[s], float(vis[i]))
                 for s, i in zip(rng.integers(30, size=2), rng.integers(len(vis), size=2))
             ]
             for cap in (40.0, *exact):
@@ -241,8 +242,9 @@ class TestDisplacementLimit:
         with pytest.raises(InfeasibleLayoutError):
             cp.solve(scores, max_displacement_deg=0.0)
 
-    @pytest.mark.parametrize("cap", [float("nan"), -5.0])
+    @pytest.mark.parametrize("cap", [float("nan"), -5.0, True, np.True_, "10", [10.0]])
     def test_rejects_nan_and_negative_cap_as_bad_input(self, identity, side_by_side, cap):
+        # True was taken as a 1-degree cap, and a str failed with a TypeError
         scores = cp.build_score_matrix(identity, side_by_side)
         for solver in (cp.solve, brute_force_solve):
             with pytest.raises(ValueError) as exc:
@@ -317,8 +319,7 @@ class TestFineBins:
             best = per_cut_best(q)
             solution = cp.solve(scores, cap)
             assert solution.cut_rotation == int(np.argmax(best))
-            by_id = solution.bins_by_element()
-            bins = [by_id[scores.layout.elements[i].id] for i in order]
+            bins = [solution.assignments[i].sound_bin for i in order]
             assert bins == extract_lex_min(q, solution.cut_rotation).tolist()
             assert q[np.arange(n), bins].sum() == best.max()
             values = scores.values[order, bins]
@@ -382,4 +383,4 @@ class TestSolutionMetadata:
         sol = cp.solve(scores)
         assert sol.solver == "dp_exact"
         assert 0 <= sol.cut_rotation < 30
-        assert set(sol.bins_by_element()) == {"a", "b"}
+        assert [a.id for a in sol.assignments] == ["a", "b"]

@@ -26,6 +26,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             cp.Weights(cone=bad)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.9", None])
+    def test_rejects_bools_and_non_numbers(self, bad):
+        # True would weigh as 1.0, and a str failed with a TypeError
+        for weights in ({"blur": bad}, {"cone": bad}):
+            with pytest.raises(ValueError, match="^weights must be finite and non-negative"):
+                cp.Weights(**weights)
+        assert cp.Weights(np.float32(0.5), 1) == cp.Weights(0.5, 1.0)
+
 
 class TestBlurProbability:
     def test_identity_model(self, identity):
@@ -66,8 +74,6 @@ class TestBuildScoreMatrix:
     def test_shape_and_immutability(self, calibrated_model, side_by_side):
         scores = cp.build_score_matrix(calibrated_model, side_by_side)
         assert scores.values.shape == (2, 30)
-        assert scores.n_elements == 2
-        assert scores.bin_count == 30
         with pytest.raises(ValueError):
             scores.values[0, 0] = 1.0
 

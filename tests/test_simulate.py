@@ -15,6 +15,7 @@ from cueplace.confusion import DEFAULT_REGION_BOUNDS, ModelFormatError, _regions
 from cueplace.simulate import (
     _CHUNK_TRIALS,
     _build_guide,
+    _discordant_trials,
     _guide_cells,
     _regions_with_centers,
     expected_accuracy,
@@ -22,6 +23,7 @@ from cueplace.simulate import (
 )
 from tests.conftest import random_layout
 from tests.oracles import (
+    correct_per_trial,
     expected_accuracy_per_element,
     gather_sample_rows,
     nearest_element_decision,
@@ -324,14 +326,54 @@ class TestRunSimulation:
         assert_same_report(got, want)
 
     def test_accuracy_gap(self, calibrated_model, side_by_side):
-        scores = cp.build_score_matrix(calibrated_model, side_by_side)
-        opt = cp.run_simulation(cp.solve(scores), side_by_side, calibrated_model, 5000, seed=0)
-        co = cp.run_simulation(
-            cp.colocated_solution(scores), side_by_side, calibrated_model, 5000, seed=0
-        )
+        # the gap's error is the SD of the per-trial difference in
+        # correctness over sqrt(trials), from the trials of both runs
+        model, layout = calibrated_model, side_by_side
+        scores = cp.build_score_matrix(model, layout)
+        solutions = cp.solve(scores), cp.colocated_solution(scores)
+        opt, co = (cp.run_simulation(s, layout, model, 5000, seed=0) for s in solutions)
         gap, se = opt.accuracy_gap(co)
-        assert gap == pytest.approx(opt.accuracy - co.accuracy)
-        assert se == pytest.approx(math.hypot(opt.accuracy_stderr, co.accuracy_stderr))
+        assert gap == opt.accuracy - co.accuracy
+        opt_ok, co_ok = (correct_per_trial(s, layout, model, 5000, 0) for s in solutions)
+        diff = opt_ok.astype(float) - co_ok
+        assert gap == pytest.approx(diff.mean(), rel=1e-12)
+        assert se == pytest.approx(diff.std() / math.sqrt(5000), rel=1e-9)
+        # the runs share their stream, so the paired error is the smaller
+        assert 0 < se < math.hypot(opt.accuracy_stderr, co.accuracy_stderr)
+
+    @pytest.mark.parametrize(
+        "trials, seed, layout", [(5000, 1, None), (4999, 0, None), (5000, 0, CENTERED)]
+    )
+    def test_accuracy_gap_needs_one_stream(self, calibrated_model, side_by_side, trials, seed, layout):
+        model, layout = calibrated_model, layout or side_by_side
+        run = cp.run_simulation(solved(model, side_by_side), side_by_side, model, 5000, 0)
+        other = cp.run_simulation(solved(model, layout), layout, model, trials, seed)
+        for a, b in ((run, other), (other, run)):
+            with pytest.raises(ValueError, match="^a paired gap needs two runs on one stream"):
+                a.accuracy_gap(b)
+
+    @given(
+        bin_size=st.sampled_from([12, 3, 1]),
+        n=st.integers(1, 59),
+        trials=st.one_of(
+            st.integers(1, 5000), st.integers(2 * _CHUNK_TRIALS + 1, 3 * _CHUNK_TRIALS)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(bin_size=1, n=59, trials=2 * _CHUNK_TRIALS + 1, seed=7)
+    @example(bin_size=12, n=2, trials=3 * _CHUNK_TRIALS, seed=0)
+    @settings(max_examples=40)
+    def test_discordant_trials_match_per_trial_oracle(self, bin_size, n, trials, seed):
+        # every run's trials pair up by their uniforms' rank within a
+        # target, chunked runs (above 2 * 2^14 trials) included
+        model = model_of("calibrated", bin_size)
+        layout = random_layout(np.random.default_rng(seed), min(n, model.bin_count))
+        scores = cp.build_score_matrix(model, layout)
+        solutions = cp.colocated_solution(scores), cp.solve(scores)
+        reports = [cp.run_simulation(s, layout, model, trials, seed) for s in solutions]
+        co_ok, opt_ok = (correct_per_trial(s, layout, model, trials, seed) for s in solutions)
+        assert _discordant_trials(*reports) == np.count_nonzero(co_ok != opt_ok)
+        assert _discordant_trials(reports[0], reports[0]) == 0
 
     @given(
         shape=st.one_of(
@@ -817,7 +859,7 @@ class TestSanityFloor:
                     cp.Assignment(
                         id=e.id,
                         sound_bin=by_id[e.id],
-                        sound_azimuth_deg=cp.bin_center(by_id[e.id], 12),
+                        sound_azimuth_deg=float(cp.bin_centers(12)[by_id[e.id]]),
                         visual_azimuth_deg=e.visual_azimuth_deg,
                         elevation_deg=e.elevation_deg,
                     )
