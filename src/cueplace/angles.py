@@ -51,7 +51,10 @@ def mirror_front_back(a):
 
 
 def _check_bin_size(bin_size_deg: int) -> int:
-    size = int(bin_size_deg)
+    try:
+        size = int(bin_size_deg)
+    except (TypeError, ValueError, OverflowError):  # None, 12+0j, [12], NaN, inf
+        size = 0
     is_bool = isinstance(bin_size_deg, (bool, np.bool_))  # True == 1, but is no size
     if is_bool or size != bin_size_deg or size <= 0 or 360 % size != 0:
         raise ValueError(f"bin size must be a positive divisor of 360, got {bin_size_deg!r}")

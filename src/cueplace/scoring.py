@@ -38,6 +38,8 @@ class Weights:
         for w in (self.blur, self.cone):
             if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 <= w < math.inf:
                 raise ValueError(f"weights must be finite and non-negative numbers, got {self}")
+        for name in ("blur", "cone"):  # a Fraction would make an object array downstream
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)

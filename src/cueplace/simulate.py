@@ -123,137 +123,71 @@ def _discordant_trials(a: SimulationReport, b: SimulationReport) -> int:
     return int(np.add.reduce((stops - starts)[differ]))
 
 
-# The one block size of trial-length working arrays: a run draws its trials
-# in equal chunks of at most this many (or of its n * B (target, percept)
-# cells if more, so a chunk's histogram is a small part), and `sample_bins`
-# searches at most this many trials at a time. At 2^14 entries a float64 or
-# intp array is 128 KiB, glibc's default mmap threshold, so such arrays
-# stay in cache and in memory the process holds.
-_CHUNK_TRIALS = 1 << 14
+# `Generator.random` returns m / 2^53 for an integer 0 <= m < 2^53, so a
+# CDF entry c is at or below it exactly when ceil(c * 2^53) <= m. A trial
+# of row i is the int64 key i * 2^53 + m, below 2^63 for at most 1023 rows.
+_BITS = 53
+_MAX_ROWS = (1 << (63 - _BITS)) - 1
 
 
-def _guide_cells(bin_count: int, trials_per_row: int) -> int:
-    """Cells per row of the sampler's guide table: the largest power of two
-    not above 16 per bin, nor above the trials a row serves, so building
-    the table never costs more than looking the trials up in it."""
+def _keyed(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Keys of trials of int64 `rows` with uniforms `u` from
+    `Generator.random`, made in place of both."""
 
-    k = max(1, min(16 * bin_count, trials_per_row))
-    return 1 << (k.bit_length() - 1)
+    rows <<= _BITS
+    u *= 1 << _BITS  # exactly m, as a float
+    # the int64 loop casts u through NumPy's small buffers, not a full copy
+    return np.add(rows, u, out=rows, dtype=np.int64, casting="unsafe")
 
 
-def _build_guide(
-    model: ConfusionModel, rows: np.ndarray, trials: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Guide table of `sample_bins` for the given model rows (repeats
-    allowed), serving `trials` draws in all.
+def _bounds(model: ConfusionModel, rows: np.ndarray) -> np.ndarray:
+    """Flat, non-decreasing int64 key bounds of the given model rows
+    (repeats allowed), then the end of the last row.
 
-    It splits [0, 1) into K equal cells, K a power of two from
-    `_guide_cells(B, trials // rows.size)`, plus one cell for u >= 1, and
-    records per cell how many CDF entries of each row lie below the cell
-    and below its upper edge. Scaling by K is exact, so every entry falls
-    in its true cell. Returns the rows' CDFs, the table, and the
-    binary-search steps its widest cell needs.
+    Bound B * i + p is the least key of row i perceived in bin p or later:
+    the row's start for p = 0, else that plus ceil(cdf[p - 1] * 2^53), at
+    most the next row's start. So a key is perceived in the bin numbered by
+    how many of its row's CDF entries are at or below its uniform, capped
+    at the last bin.
     """
 
     nb = model.bin_count
-    r = rows.size
-    cells = _guide_cells(nb, trials // max(r, 1))
-
-    # cdf[j, i] is entry j of row i. It is stored column by column with a
-    # row of NaN after the last entry, so a search probe past the end of a
-    # row lands on NaN (or is clipped to it) and `cdf <= u` is false there.
-    cdf = np.empty((nb + 1, r))
-    np.cumsum(model.matrix[rows].T, axis=0, out=cdf[:nb])
-    cdf[nb] = np.nan
-
-    # counts[c, i] = entries of row i below c/K for c <= K, and all of them
-    # for c = K + 1, capped at the last bin. An entry lies in cell
-    # floor(entry * K); the cast truncates, which is the floor for entries >= 0.
-    cell_of = np.multiply(cdf[:nb], cells, out=np.empty((nb, r), np.intp), casting="unsafe")
-    np.minimum(cell_of, cells, out=cell_of)
-    cell_of *= r
-    cell_of += np.arange(r, 2 * r)
-    counts = np.bincount(cell_of.ravel(), minlength=(cells + 2) * r).reshape(cells + 2, r)
-    del cell_of  # each large temporary goes before the next, keeping the peak low
-    np.cumsum(counts, axis=0, out=counts)
-    np.minimum(counts, nb - 1, out=counts)
-    below, span = counts[:-1], np.diff(counts, axis=0)
-
-    # table[c, i]: a cell whose span is 0 holds the answer for every uniform
-    # in it. Any other holds the bitwise complement of the flat position in
-    # `cdf` of the first entry it may still count.
-    table = below * r
-    table += np.arange(r)
-    np.invert(table, out=table)
-    np.copyto(table, below, where=span == 0)
-    return cdf, table, int(span.max(initial=0)).bit_length()
+    cdf = model.matrix.take(rows, axis=0)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf *= 1 << _BITS
+    np.minimum(np.ceil(cdf, out=cdf), 1 << _BITS, out=cdf)
+    bounds = np.empty(rows.size * nb + 1, np.int64)
+    grid = bounds[:-1].reshape(rows.size, nb)
+    grid[:, 0] = 0
+    grid[:, 1:] = cdf[:, :-1]
+    grid += np.arange(rows.size, dtype=np.int64)[:, None] << _BITS
+    bounds[-1] = rows.size << _BITS
+    return bounds
 
 
-def sample_bins(
-    guide: tuple[np.ndarray, np.ndarray, int], row_index: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF draw of one perceived bin per trial.
+def _histogram(model: ConfusionModel, bins: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Flat (row, perceived bin) counts of sorted keys whose row i plays in
+    model row `bins[i]`: the bounds split the keys into runs."""
 
-    `guide` is `_build_guide(model, rows, trials)`. The cue of trial k plays
-    in bin `rows[row_index[k]]` and is perceived in the bin numbered by how
-    many of that row's CDF entries are at or below the uniform `u[k]`,
-    capped at the last bin. Both arguments are 1-d and `u` is non-negative;
-    values at or past 1 are allowed. The model keeps its entries
-    non-negative, so each CDF is non-decreasing.
-
-    The count is found by indexed search (Chen & Asau, AIIE Trans. 6(2),
-    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
-    A trial whose guide cell holds no CDF entry (after the cap) is answered
-    by one table lookup; the others are resolved by a binary search over
-    the entries inside their cell. The guide is built once and serves any
-    number of calls, so a caller can draw its trials block by block. Each
-    call's working memory is one trial-length array, the result, used
-    first for the trials' cell indices, and the search's arrays for at most
-    `_CHUNK_TRIALS` trials.
-    """
-
-    cdf, table, steps = guide
-    cells, r = table.shape[0] - 1, table.shape[1]  # K: the last cell holds u >= 1
-
-    out = np.multiply(u, cells, out=np.empty(u.size, np.intp), casting="unsafe")
-    np.minimum(out, cells, out=out)
-    out *= r
-    out += row_index
-    # Each trial reads its own cell index before its table entry overwrites it.
-    np.take(table, out, out=out, mode="clip")
-
-    for lo in range(0, out.size, _CHUNK_TRIALS):
-        _search(cdf, steps, out[lo : lo + _CHUNK_TRIALS], u[lo : lo + _CHUNK_TRIALS])
-    return out
+    return np.diff(keys.searchsorted(_bounds(model, bins)))
 
 
-def _search(cdf: np.ndarray, steps: int, block: np.ndarray, u: np.ndarray) -> None:
-    """Settle the trials of one block of `sample_bins` whose guide cell
-    holds CDF entries, in place.
+def _percepts(model: ConfusionModel, keys: np.ndarray) -> np.ndarray:
+    """Perceived bin of each key, its row a model row, in the keys' order."""
 
-    A negative entry of `block` is the complement of the flat position in
-    `cdf` of its trial's first candidate entry (count c of row i sits at
-    c * r + i); it becomes the trial's perceived bin. The binary search
-    jumps 2^(steps-1), ..., 2, 1 entries ahead, taking a jump when the
-    entry it lands on is <= u. `probe` is where the next jump lands: after
-    trying a jump of 2^s it moves 2^s - 2^(s-1) entries if the jump was
-    taken, else -2^(s-1). The working arrays are freed on return, so no
-    two blocks' arrays are alive at once.
-    """
-
-    nb, r = cdf.shape[0] - 1, cdf.shape[1]
-    flat = cdf.ravel()
-    trials = np.flatnonzero(block < 0)
-    probe = ~block.take(trials)
-    probe += ((1 << steps >> 1) - 1) * r
-    draws = u.take(trials)
-    entry, hit = np.empty_like(draws), np.empty(trials.size, bool)
-    for s in reversed(range(steps)):
-        np.less_equal(flat.take(probe, out=entry, mode="clip"), draws, out=hit)
-        np.add(probe, r << s, out=probe, where=hit)
-        probe -= (1 << s >> 1) * r
-    probe //= r  # the count of entries <= u
-    block[trials] = np.minimum(probe, nb - 1, out=probe)
+    nb = model.bin_count
+    bounds = _bounds(model, np.arange(nb))
+    # Searched in sorted order, each search starts where the last ended.
+    order = keys.argsort()
+    ranked = keys[order]
+    percept = bounds.searchsorted(ranked, side="right")
+    # a key of row t is past the B * t bounds of earlier rows and its row's start
+    np.right_shift(ranked, _BITS, out=ranked)
+    ranked *= nb
+    ranked += 1
+    percept -= ranked
+    ranked[order] = percept
+    return ranked
 
 
 def _count(name: str, value, least: int) -> int:
@@ -269,26 +203,25 @@ def _count(name: str, value, least: int) -> int:
 # draws its own: callers compare strategies by running each on one seed.
 # Runs in several threads stay exact, since a stream is only ever read;
 # they may draw a stream twice, or briefly keep two.
-_kept: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+_kept: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _stream(seed: int, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only targets and uniforms of a run: `integers(n, size=trials)`
-    then `random(trials)` from `default_rng(seed)`, the targets in the
-    smallest unsigned type that holds n - 1 (9 bytes per trial in all up
-    to 256 elements). A drawn stream is kept for one more run."""
+def _stream(seed: int, n: int, trials: int) -> np.ndarray:
+    """Read-only sorted `_keyed` keys of a run's trials, 8 bytes per trial:
+    targets `integers(n, size=trials)` as rows, then uniforms
+    `random(trials)`, from `default_rng(seed)`. A drawn stream is kept for
+    one more run."""
 
     key = (seed, n, trials)
-    stream = _kept.pop(key, None)
-    if stream is None:
+    keys = _kept.pop(key, None)
+    if keys is None:
         _kept.clear()  # before the draw, so no two streams are ever alive
         rng = np.random.default_rng(seed)
-        # the int64 draw is freed before the uniforms are drawn
-        targets = rng.integers(n, size=trials).astype(np.min_scalar_type(n - 1))
-        uniforms = rng.random(trials)
-        targets.flags.writeable = uniforms.flags.writeable = False
-        stream = _kept[key] = targets, uniforms
-    return stream
+        keys = _keyed(rng.integers(n, size=trials), rng.random(trials))
+        keys.sort()
+        keys.flags.writeable = False
+        _kept[key] = keys
+    return keys
 
 
 def run_simulation(
@@ -305,43 +238,30 @@ def run_simulation(
     so results depend only on the seed. The listener's decision rule is the
     layout geometry's `decided`; errors are measured between the perceived
     azimuth and the target element's visual azimuth. `trials` must be a
-    positive and `seed` a non-negative integer.
+    positive and `seed` a non-negative integer, and the layout may hold at
+    most 1023 elements.
 
     A trial's outcome depends only on its (target, percept) cell, so the
-    run keeps one histogram of the cells and, per trial, only its target
-    and uniform. It samples the trials in equal chunks of at most
-    `_CHUNK_TRIALS` trials (or n * B, if more). The error means are the
-    histogram's count-weighted sums of the geometry's error tables; the
-    confusion counts add each percept bin's cells to those of the element
-    it decides.
+    run counts the cells' trials (`_histogram`) in its sorted stream. The
+    error means are the histogram's count-weighted sums of the geometry's
+    error tables; the confusion counts add each percept bin's cells to
+    those of the element it decides.
 
     Callers compare strategies on one seed, so a run that draws its stream
-    keeps it, read-only (9 bytes per trial up to 256 elements, 10 up to
-    65536), until the next run starts. If that run has the same seed,
-    element count and trials, it takes the stream instead of drawing it;
-    any other run drops it. At most one stream is kept, none after a
-    pair's second run, and a report depends only on the arguments.
+    keeps it, read-only (8 bytes per trial), until the next run starts. If
+    that run has the same seed, element count and trials, it takes the
+    stream instead of drawing it; any other run drops it. At most one
+    stream is kept, none after a pair's second run, and a report depends
+    only on the arguments.
     """
 
     trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     n, nb = len(layout.elements), model.bin_count
+    if n > _MAX_ROWS:
+        raise ValueError(f"a run simulates at most {_MAX_ROWS} elements, got {n}")
     circular, adjusted, decided = layout.geometry(model.bin_size_deg)
-    guide = _build_guide(model, _bins_in_layout_order(solution, layout, model), trials)
-    targets, uniforms = _stream(seed, n, trials)
-    chunks = -(-trials // max(_CHUNK_TRIALS, n * nb))
-    for c in range(chunks):
-        lo, hi = trials * c // chunks, trials * (c + 1) // chunks
-        # one cast per chunk, so the sampler and the cells add like types
-        target = targets[lo:hi].astype(np.intp)
-        cell = sample_bins(guide, target, uniforms[lo:hi])
-        cell += np.multiply(target, nb, out=target)
-        del target  # before the histogram, which at one chunk is the peak
-        if c == 0:
-            hist = np.bincount(cell, minlength=n * nb)
-        else:
-            hist += np.bincount(cell, minlength=n * nb)
-        del cell  # so the next chunk reuses its memory, not fresh pages that fault
-    del targets, uniforms, guide  # before the sums and counts, keeping the peak low
+    bins = _bins_in_layout_order(solution, layout, model)
+    hist = _histogram(model, bins, _stream(seed, n, trials))
 
     # Circular errors are never below adjusted ones, and rounding is
     # monotone, so the cone mean is never negative.
@@ -416,11 +336,9 @@ def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int) -> np.
     integer."""
 
     trials_per_bin, seed = _count("trials_per_bin", trials_per_bin, 1), _count("seed", seed, 0)
-    rows = np.arange(model.bin_count)
-    true_bins = np.repeat(rows, trials_per_bin)
-    u = np.random.default_rng(seed).random(true_bins.size)
-    perceived = sample_bins(_build_guide(model, rows, u.size), true_bins, u)
-    return perceived.reshape(rows.size, trials_per_bin)
+    rows = np.repeat(np.arange(model.bin_count), trials_per_bin)
+    keys = _keyed(rows, np.random.default_rng(seed).random(rows.size))
+    return _percepts(model, keys).reshape(model.bin_count, trials_per_bin)
 
 
 def _regions_with_centers(bin_size_deg: int) -> np.ndarray:

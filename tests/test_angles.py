@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cueplace as cp
 from cueplace import (
     angular_distance,
     bin_centers,
@@ -104,6 +105,24 @@ class TestBins:
         for bad in (0, -12, 7, 11):
             with pytest.raises(ValueError):
                 bin_count_for(bad)
+
+    @pytest.mark.parametrize("bad", [None, 12 + 0j, [12], float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda size: cp.ConfusionModel(size, np.eye(30)),
+            lambda size: cp.Layout((cp.Element("a", 6.0),)).geometry(size),
+            bin_centers,
+            lambda size: bin_of(6.0, size),
+            bin_count_for,
+            cp.identity_model,
+        ],
+        ids=["ConfusionModel", "geometry", "bin_centers", "bin_of", "bin_count_for", "identity"],
+    )
+    def test_non_numbers_are_no_bin_size(self, call, bad):
+        # these escaped as TypeError (None, complex, list) or OverflowError (inf)
+        with pytest.raises(ValueError, match="^bin size must be a positive divisor of 360"):
+            call(bad)
 
     @pytest.mark.parametrize(
         "a,expected",

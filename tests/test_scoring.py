@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,13 @@ class TestWeights:
             with pytest.raises(ValueError, match="^weights must be finite and non-negative"):
                 cp.Weights(**weights)
         assert cp.Weights(np.float32(0.5), 1) == cp.Weights(0.5, 1.0)
+
+    def test_fractions_are_stored_as_floats(self, calibrated_model, side_by_side):
+        # a Fraction passed the check, then made the score build fail in np.isfinite
+        w = cp.Weights(Fraction(9, 10), Fraction(1, 10))
+        assert (type(w.blur), type(w.cone)) == (float, float) and w == cp.Weights()
+        got = cp.build_score_matrix(calibrated_model, side_by_side, w).values
+        assert np.array_equal(got, cp.build_score_matrix(calibrated_model, side_by_side).values)
 
 
 class TestBlurProbability:

@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import cueplace as cp
 from cueplace import simulate
 from cueplace.confusion import DEFAULT_REGION_BOUNDS, ModelFormatError, _regions_by_bin
 from cueplace.simulate import (
-    _CHUNK_TRIALS,
-    _build_guide,
     _discordant_trials,
-    _guide_cells,
+    _histogram,
+    _keyed,
+    _percepts,
     _regions_with_centers,
     expected_accuracy,
-    sample_bins,
 )
 from tests.conftest import random_layout
 from tests.oracles import (
@@ -101,90 +99,79 @@ class TestDecisionByBin:
 
 
 class TestSampler:
-    @staticmethod
-    def sample(model, true_bins, u):
-        """`sample_bins` with a guide over the rows the trials play, so its
-        table has the K that `searched` assumes."""
-
-        rows = np.unique(true_bins)
-        return sample_bins(_build_guide(model, rows, u.size), np.searchsorted(rows, true_bins), u)
-
-    @given(
-        data=st.data(),
-        bins=st.sampled_from([2, 3, 5, 30]),
-        trials=st.integers(1, 200),
-    )
-    @settings(max_examples=60)
-    def test_matches_gather_sampler(self, data, bins, trials):
-        # weights include exact zeros, so rows have flat CDF stretches
-        raw = data.draw(
-            hnp.arrays(float, (bins, bins), elements=st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]))
-        )
-        raw[:, 0] += 1.0  # no empty row
-        matrix = raw / raw.sum(axis=1, keepdims=True)
-        model = cp.ConfusionModel(360 // bins, matrix)
-        true_bins = data.draw(hnp.arrays(np.int64, trials, elements=st.integers(0, bins - 1)))
-        u = data.draw(
-            hnp.arrays(
-                float, trials,
-                elements=st.one_of(
-                    st.floats(0.0, 1.0, exclude_max=True),
-                    st.sampled_from(sorted(set(np.cumsum(matrix, axis=1).ravel()))),
-                ),
-            )
-        )
-        assert np.array_equal(self.sample(model, true_bins, u), gather_sample_rows(matrix, true_bins, u))
-
-    # The cases below use enough trials per row for a fine guide table, and
-    # each checks that trials land in cells holding a CDF entry, where the
-    # sampler has to search instead of reading the table.
+    """The keyed sampler (`_keyed`, `_bounds`, `_histogram`, `_percepts`)
+    against the gather oracle, on uniforms of `Generator.random`'s 2^-53
+    grid."""
 
     @staticmethod
     def uniforms(rng, matrix, true_bins):
-        """Random uniforms with 0, the largest double below 1, 1, a value
-        past 1 and the trial's own row CDF values mixed in."""
+        """Random grid uniforms with 0, the last grid value below 1 and, for
+        CDF entries of each trial's own row, the least grid value at or
+        above the entry or the grid value one step below it mixed in."""
 
         u = rng.random(true_bins.size)
-        cdf = np.cumsum(matrix, axis=1)
-        pick = rng.random(u.size) < 0.2
-        u[pick] = cdf[true_bins[pick], rng.integers(matrix.shape[1], size=pick.sum())]
-        edges = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, 1.5])
+        least = np.ceil(np.cumsum(matrix, axis=1) * 2.0**53)
+        pick = rng.random(u.size) < 0.3
+        m = least[true_bins[pick], rng.integers(matrix.shape[1], size=pick.sum())]
+        m -= rng.integers(2, size=m.size)
+        u[pick] = np.clip(m, 0, 2**53 - 1) * 2.0**-53
         pick = rng.random(u.size) < 0.03
-        u[pick] = rng.choice(edges, size=pick.sum())
+        u[pick] = rng.choice([0.0, 1.0 - 2.0**-53], size=pick.sum())
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
         return u
 
     @staticmethod
-    def searched(matrix, true_bins, u):
-        """Trials whose guide-table cell holds a CDF entry (after the cap)."""
+    def check(matrix, bins, targets, u):
+        """Percepts in draw order, with keyed model rows `bins[targets]`,
+        and the histogram by (target, percept), with keyed targets whose
+        rows are `bins` (repeats allowed), both equal the gather oracle's."""
 
-        bins, rows = matrix.shape[1], np.unique(true_bins)
-        cells = _guide_cells(bins, u.size // rows.size)
-        cdf = np.cumsum(matrix, axis=1)
-        cell = np.minimum(np.floor(u * cells), cells)
-        total = 0
-        for b in rows:
-            c = cell[true_bins == b]
-            below = np.searchsorted(cdf[b], c / cells, side="left")
-            upto = np.where(c < cells, np.searchsorted(cdf[b], (c + 1) / cells, side="left"), bins)
-            total += np.count_nonzero(np.minimum(below, bins - 1) != np.minimum(upto, bins - 1))
-        return total
-
-    def check(self, matrix, true_bins, u):
         model = cp.ConfusionModel(360 // matrix.shape[0], matrix)
-        assert np.array_equal(self.sample(model, true_bins, u), gather_sample_rows(matrix, true_bins, u))
-        assert self.searched(matrix, true_bins, u) > 0
+        true_bins = bins[targets]
+        want = gather_sample_rows(matrix, true_bins, u)
+        assert np.array_equal(_percepts(model, _keyed(true_bins.astype(np.int64), u.copy())), want)
+        keys = np.sort(_keyed(targets.astype(np.int64), u.copy()))
+        nb = matrix.shape[1]
+        hist = np.bincount(targets * nb + want, minlength=bins.size * nb)
+        assert np.array_equal(_histogram(model, bins, keys), hist)
+
+    @given(
+        bins=st.sampled_from([2, 3, 5, 30, 120, 360]),
+        kind=st.sampled_from(["weights", "identity", "calibrated"]),
+        n=st.integers(1, 12),
+        trials=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_matches_gather_sampler(self, bins, kind, n, trials, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "weights":
+            # exact zeros give flat CDF stretches, and a zero tail a CDF
+            # that reaches its last value before the last bin
+            raw = rng.choice([0.0, 0.1, 0.25, 1.0, 3.0], size=(bins, bins))
+            raw[:, 0] += 1.0  # no empty row
+            for row in raw:
+                row[rng.integers(1, bins + 1) :] = 0.0
+            matrix = raw / raw.sum(axis=1, keepdims=True)
+        else:
+            matrix = model_of(kind, 360 // bins).matrix
+        element_bins = rng.integers(bins, size=n)  # a shared bin repeats a row
+        targets = rng.integers(n, size=trials)
+        self.check(matrix, element_bins, targets, self.uniforms(rng, matrix, element_bins[targets]))
 
     @pytest.mark.parametrize("bin_size", [12, 3, 1])
     def test_fine_table_matches_gather_sampler(self, bin_size):
+        # the calibrated confusion table at 12, 3 and 1-degree bins
         matrix = cp.synthesize_model(cp.calibrated_params(bin_size)).matrix
         rng = np.random.default_rng(bin_size)
-        rows = rng.choice(matrix.shape[0], size=5, replace=False)
-        true_bins = rows[rng.integers(5, size=20000)]  # ~4000 trials per row
-        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+        bins = rng.choice(matrix.shape[0], size=5, replace=False)
+        targets = rng.integers(5, size=20000)  # ~4000 trials per row
+        self.check(matrix, bins, targets, self.uniforms(rng, matrix, bins[targets]))
 
     @pytest.mark.parametrize("bin_size", [12, 90])
     def test_entries_on_dyadic_cell_edges(self, bin_size):
-        # weights 0.25 and 0.5 put every CDF entry on a cell edge
+        # weights 0.25 and 0.5 put every CDF entry on the 2^-53 grid, so a
+        # uniform equal to an entry counts it
         bins = 360 // bin_size
         rng = np.random.default_rng(bins)
         matrix = np.zeros((bins, bins))
@@ -192,43 +179,46 @@ class TestSampler:
             cols = rng.choice(bins, size=min(3, bins), replace=False)
             row[cols] = [0.25, 0.25, 0.5][: cols.size]
             row[cols[0]] += 1.0 - row.sum()
-        true_bins = rng.integers(bins, size=bins * 1000)
-        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+        targets = rng.integers(bins, size=bins * 1000)
+        self.check(matrix, np.arange(bins), targets, self.uniforms(rng, matrix, targets))
 
     def test_all_rows_at_200_per_bin_with_crowded_tails(self):
-        # at 1-degree bins many tiny entries share the first and last cells
+        # at 1-degree bins many tiny entries share a few grid values at the tails
         matrix = cp.synthesize_model(cp.calibrated_params(1)).matrix
         rng = np.random.default_rng(1)
-        true_bins = np.repeat(np.arange(360), 200)
-        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+        targets = np.repeat(np.arange(360), 200)
+        self.check(matrix, np.arange(360), targets, self.uniforms(rng, matrix, targets))
 
     @pytest.mark.parametrize("bin_size", [12, 1])
     def test_identity_model(self, bin_size):
         matrix = cp.identity_model(bin_size).matrix
         rng = np.random.default_rng(bin_size)
-        true_bins = rng.integers(matrix.shape[0], size=30000)
-        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+        targets = rng.integers(matrix.shape[0], size=30000)
+        self.check(matrix, np.arange(matrix.shape[0]), targets, self.uniforms(rng, matrix, targets))
 
     @pytest.mark.parametrize("bin_size", [12, 1])
     def test_one_row(self, bin_size):
         matrix = cp.synthesize_model(cp.calibrated_params(bin_size)).matrix
         rng = np.random.default_rng(7)
-        true_bins = np.full(50000, matrix.shape[0] // 3)
-        self.check(matrix, true_bins, self.uniforms(rng, matrix, true_bins))
+        bins, targets = np.array([matrix.shape[0] // 3]), np.zeros(50000, np.int64)
+        self.check(matrix, bins, targets, self.uniforms(rng, matrix, bins[targets]))
 
-    def test_memory_at_finest_bins(self):
-        # 1-degree bins, all rows at 200 trials, as `table1_statistics` draws:
-        # the result and the guide over all rows take about 2.46 MB
-        model = cp.synthesize_model(cp.calibrated_params(1))
-        true_bins = np.repeat(np.arange(360), 200)
-        u = np.random.default_rng(0).random(true_bins.size)
-        tracemalloc.start()
-        try:
-            sample_bins(_build_guide(model, np.arange(360), u.size), true_bins, u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2_550_000
+    @pytest.mark.parametrize(
+        "seed, n, trials",
+        [(0, 1, 1), (1, 2, 7), (2, 12, 50_000), (3, 300, 4097), (2**32 - 1, 1023, 999)],
+    )
+    def test_stream_holds_grid_uniforms(self, seed, n, trials):
+        # `Generator.random` draws m / 2^53 for integers m < 2^53, the
+        # contract the keys rest on; the stream is their sorted keys
+        rng = np.random.default_rng(seed)
+        targets, u = rng.integers(n, size=trials), rng.random(trials)
+        m = u * 2.0**53
+        assert np.array_equal(m, np.floor(m)) and m.max() < 2.0**53
+        simulate._kept.clear()
+        keys = simulate._stream(seed, n, trials)
+        simulate._kept.clear()
+        assert keys.dtype == np.int64 and not keys.flags.writeable
+        assert np.array_equal(keys, np.sort((targets << 53) + m.astype(np.int64)))
 
     def test_table1_memory_at_finest_bins(self):
         # the draw, the B x B error tables and one region's rows; trial-length
@@ -291,6 +281,26 @@ class TestRunSimulation:
         exact = expected_accuracy(sol, cone_pair, calibrated_model)
         r = cp.run_simulation(sol, cone_pair, calibrated_model, trials=40000, seed=2)
         assert r.accuracy == pytest.approx(exact, abs=4.5 * r.accuracy_stderr)
+
+    def test_at_most_1023_elements(self):
+        # a key holds its target in the 10 bits above the uniform's 53
+        # (the solvers place at most B elements; a hand-built solution may share bins)
+        model = model_of("calibrated", 1)
+        for n in (1023, 1024):
+            layout = cp.Layout(tuple(cp.Element(f"e{i}", i * 0.25) for i in range(n)))
+            assignments = tuple(
+                cp.Assignment(e.id, int(az), int(az) + 0.5, az, 0.0)
+                for e, az in zip(layout.elements, layout.visual_azimuths.tolist())
+            )
+            solution = cp.PlacementSolution(assignments, 0.0, (0.0,) * n, "shared", 0)
+            if n == 1024:
+                with pytest.raises(ValueError, match="^a run simulates at most 1023 elements"):
+                    cp.run_simulation(solution, layout, model, 3000, 5)
+                continue
+            got = cp.run_simulation(solution, layout, model, 3000, 5)
+            want = run_simulation_per_trial(solution, layout, model, 3000, 5)
+            assert np.array_equal(got.histogram, want.histogram)
+            assert np.array_equal(got.confusion_counts, want.confusion_counts)
 
     def test_rejects_bad_trials(self, identity):
         sol = solved(identity, CENTERED)
@@ -356,16 +366,16 @@ class TestRunSimulation:
         bin_size=st.sampled_from([12, 3, 1]),
         n=st.integers(1, 59),
         trials=st.one_of(
-            st.integers(1, 5000), st.integers(2 * _CHUNK_TRIALS + 1, 3 * _CHUNK_TRIALS)
+            st.integers(1, 5000), st.integers(2 * 2**14 + 1, 3 * 2**14)
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(bin_size=1, n=59, trials=2 * _CHUNK_TRIALS + 1, seed=7)
-    @example(bin_size=12, n=2, trials=3 * _CHUNK_TRIALS, seed=0)
+    @example(bin_size=1, n=59, trials=2 * 2**14 + 1, seed=7)
+    @example(bin_size=12, n=2, trials=3 * 2**14, seed=0)
     @settings(max_examples=40)
     def test_discordant_trials_match_per_trial_oracle(self, bin_size, n, trials, seed):
         # every run's trials pair up by their uniforms' rank within a
-        # target, chunked runs (above 2 * 2^14 trials) included
+        # target, runs of up to 3 * 2^14 trials included
         model = model_of("calibrated", bin_size)
         layout = random_layout(np.random.default_rng(seed), min(n, model.bin_count))
         scores = cp.build_score_matrix(model, layout)
@@ -409,11 +419,11 @@ class TestRunSimulation:
         seed=4,
         azimuths=[5.9995, 6.0005, 174.0, 186.0, 90.0],
     )
-    # One chunk of 2^14 trials; two chunks, of 8192 and 8193; three of 10923;
-    # and, as n * B = 18000 is the chunk limit there, 12000, 12000 and 12001.
+    # 2^14, 2^14 + 1 and 2 * 2^14 + 1 trials, and 36 001 trials over
+    # n * B = 18 000 (target, percept) cells.
     @example(
         shape=(12, 12),
-        trials=_CHUNK_TRIALS,
+        trials=2**14,
         colocated=False,
         kind="calibrated",
         seed=5,
@@ -421,7 +431,7 @@ class TestRunSimulation:
     )
     @example(
         shape=(7, 3),
-        trials=_CHUNK_TRIALS + 1,
+        trials=2**14 + 1,
         colocated=True,
         kind="calibrated",
         seed=6,
@@ -429,7 +439,7 @@ class TestRunSimulation:
     )
     @example(
         shape=(12, 12),
-        trials=2 * _CHUNK_TRIALS + 1,
+        trials=2 * 2**14 + 1,
         colocated=False,
         kind="calibrated",
         seed=7,
@@ -536,8 +546,8 @@ class TestKeptStream:
             (co, lay, 4999, 3),  # or another trial count
             (co2, lay2, 4999, 3),  # another solution and layout under one key
             (opt2, lay2, 4999, 3),
-            (co, lay, 2 * _CHUNK_TRIALS + 1, 3),  # chunked, both strategies
-            (opt, lay, 2 * _CHUNK_TRIALS + 1, 3),
+            (co, lay, 2 * 2**14 + 1, 3),  # a larger stream, both strategies
+            (opt, lay, 2 * 2**14 + 1, 3),
         ]
         simulate._kept.clear()
         got = []
@@ -548,19 +558,20 @@ class TestKeptStream:
         for report, (sol, layout, trials, seed) in zip(got, sequence):
             assert_same_report(report, self.cold(sol, layout, model, trials, seed))
 
-    @pytest.mark.parametrize("n, bin_size, dtype", [(2, 12, np.uint8), (300, 1, np.uint16)])
-    def test_kept_arrays_are_read_only(self, n, bin_size, dtype):
+    @pytest.mark.parametrize("n, bin_size", [(2, 12), (300, 1)])
+    def test_kept_arrays_are_read_only(self, n, bin_size):
+        # one sorted int64 key array, 8 bytes per trial
         model = model_of("calibrated", bin_size)
         layout = random_layout(np.random.default_rng(n), n)
         solution = solved(model, layout)
         want = self.cold(solution, layout, model, 2000, 9)
-        ((key, (targets, uniforms)),) = simulate._kept.items()
+        ((key, kept),) = simulate._kept.items()
         assert key == (9, n, 2000)
-        assert targets.dtype == dtype and uniforms.dtype == np.float64
-        for kept in (targets, uniforms):
-            assert not kept.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                kept[0] = 0
+        assert kept.dtype == np.int64 and kept.shape == (2000,)
+        assert np.all(kept[:-1] <= kept[1:]) and 0 <= kept[0] and kept[-1] >> 53 < n
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0
         assert_same_report(cp.run_simulation(solution, layout, model, 2000, 9), want)
         assert not simulate._kept
 
