@@ -369,6 +369,28 @@ def per_cut_best(q: np.ndarray) -> np.ndarray:
     return f.max(axis=1)
 
 
+def own_best(q: np.ndarray) -> tuple[list[int], int] | None:
+    """Each element's own best bin and the lowest cut that keeps those bins
+    in order, or None, read row by row from the condition under which they
+    are the unique optimum: every row's maximum is unmasked and unique, and
+    in circular element order the bins step forward, each step at least
+    one bin, less than one turn in all."""
+
+    n, bins = q.shape
+    own = []
+    for row in q.tolist():
+        top = max(row)
+        if top <= INFEASIBLE_THRESHOLD or row.count(top) != 1:
+            return None
+        own.append(row.index(top))
+    steps = [(b - a) % bins for a, b in zip(own, own[1:])]
+    if 0 in steps or sum(steps) >= bins:
+        return None
+    # the bins increase under the cuts after the last bin, up to the first
+    gap = [(own[-1] + 1 + k) % bins for k in range(bins - sum(steps))]
+    return own, min(gap)
+
+
 def extract_lex_min(q: np.ndarray, cut: int) -> np.ndarray | None:
     """`placement._extract_lex_min` over all bin_count positions, or None
     when no feasible assignment exists under `cut`.
