@@ -114,8 +114,11 @@ def _discordant_trials(a: SimulationReport, b: SimulationReport) -> int:
     ends = [np.cumsum(r.histogram.ravel()) for r in (a, b)]
     hits = [(r.decided == np.arange(len(r.histogram))[:, None]).ravel() for r in (a, b)]
     # Positions [start, stop) between consecutive boundaries of either list
-    # hold one value per list: that of the cell whose run covers stop - 1.
-    stops = np.union1d(*ends)
+    # hold one value per list: that of the cell whose run covers stop - 1. A
+    # boundary both lists share, or an empty cell's, repeats and makes an
+    # empty run, which counts nothing; sorting without dropping repeats
+    # spares `np.union1d` its `numpy.ma` import.
+    stops = np.sort(np.concatenate(ends))
     starts = np.concatenate(([0], stops[:-1]))
     differ = np.not_equal(
         *(h[np.searchsorted(e, stops - 1, side="right")] for e, h in zip(ends, hits))

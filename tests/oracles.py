@@ -9,9 +9,11 @@ check on the solver's dynamic program, `per_cut_best` is that program's
 forward pass gathering each cut through a `(k + r) mod bins` index table,
 where the solver reads windows of a doubled score row, and
 `extract_lex_min` is the full-width backward pass with a forward greedy
-that the solver's keyed band extraction replaced. `synthesize_model_scipy`
-builds a model one row at a time on `scipy.special.ndtr`, which it imports
-when called; SciPy is needed by the tests only.
+that the solver's keyed band extraction replaced. `own_best` is the
+condition under which the solver skips that program, read row by row.
+`synthesize_model_scipy` builds a model one row at a time on
+`scipy.special.ndtr`, which it imports when called; SciPy is needed by the
+tests only.
 """
 
 from __future__ import annotations

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import cueplace as cp
 from cueplace.placement import (
+    INFEASIBLE_THRESHOLD,
     MASKED,
     InfeasibleLayoutError,
     _extract_lex_min,
     _ordered_quantized,
 )
 from tests.conftest import random_layout, random_scores
-from tests.oracles import brute_force_solve, extract_lex_min, per_cut_best
+from tests.oracles import brute_force_solve, extract_lex_min, own_best, per_cut_best
 
 
 def scores_from(values, azimuths, bin_size):
@@ -324,6 +325,125 @@ class TestFineBins:
             assert q[np.arange(n), bins].sum() == best.max()
             values = scores.values[order, bins]
             assert solution.objective == math.fsum(values.tolist())
+
+
+def assert_matches_dp_oracle(scores, cap=None):
+    """`solve` returns the all-cuts program's answer: the first best cut of
+    `per_cut_best`, the lex-min bins under it and their exact objective, or
+    raises where no cut is feasible. Returns whether each element's own best
+    bin was the unique optimum (`own_best`), in which case those bins and
+    the lowest cut keeping them in order must be that answer too."""
+
+    order, q = _ordered_quantized(scores, cap)
+    best = per_cut_best(q)
+    cut = int(np.argmax(best))
+    own = own_best(q)
+    if best[cut] <= INFEASIBLE_THRESHOLD:
+        assert own is None
+        with pytest.raises(InfeasibleLayoutError):
+            cp.solve(scores, cap)
+        return False
+    solution = cp.solve(scores, cap)
+    bins = [solution.assignments[i].sound_bin for i in order]
+    assert solution.solver == "dp_exact"
+    assert solution.cut_rotation == cut
+    assert bins == extract_lex_min(q, cut).tolist()
+    assert solution.objective == math.fsum(scores.values[order, bins].tolist())
+    if own is not None:
+        assert (bins, cut) == own
+    return own is not None
+
+
+class TestOwnBestBins:
+    """Where each element's own best bin is the unique optimum, `solve`
+    returns those bins without the all-cuts pass; everywhere its answer must
+    be that pass's. Scores come in four kinds: peaked at each element's
+    visual bin (own bins in order), peaked at random bins (colliding or
+    crossing), small integers (exact ties), and peaked opposite the element
+    under a cap that masks the peak (or every cell, at a 0-degree cap)."""
+
+    KINDS = ("peaked", "scattered", "ties", "capped")
+
+    @staticmethod
+    def drawn(rng, kind, bin_size, n):
+        model = cp.identity_model(bin_size)
+        bins = model.bin_count
+        layout = random_layout(rng, n)
+        values = rng.uniform(0.0, 1.0, size=(n, bins))
+        visual = (layout.visual_azimuths // bin_size).astype(int)
+        cap = None
+        if kind == "peaked":
+            values[np.arange(n), visual] += 1.0
+        elif kind == "scattered":
+            values[np.arange(n), rng.integers(bins, size=n)] += 1.0
+        elif kind == "ties":
+            values = rng.integers(0, 3, size=(n, bins)).astype(float)
+        else:
+            values[np.arange(n), (visual + bins // 2) % bins] += 1.0
+            cap = float(rng.choice([0.0, 30.0, 90.0]))
+        values.flags.writeable = False
+        return cp.ScoreMatrix(values, model, layout), cap
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(KINDS),
+        bin_size=st.sampled_from([12, 30, 45, 90, 120]),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dp_oracle(self, seed, kind, bin_size, data):
+        n = data.draw(st.integers(1, min(8, 360 // bin_size)))
+        assert_matches_dp_oracle(*self.drawn(np.random.default_rng(seed), kind, bin_size, n))
+
+    def test_both_outcomes_of_the_check_occur(self):
+        outcomes = {kind: set() for kind in self.KINDS}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for kind in self.KINDS:
+                n = int(rng.integers(1, 8))
+                outcomes[kind].add(assert_matches_dp_oracle(*self.drawn(rng, kind, 12, n)))
+        assert outcomes["peaked"] >= {True}
+        assert all(False in seen for kind, seen in outcomes.items() if kind != "peaked")
+        assert set().union(*outcomes.values()) == {True, False}
+
+    @pytest.mark.parametrize(
+        "peaks,azimuths,bin_size,cut",
+        [
+            ([7], (90.0,), 12, 0),  # n = 1
+            ([29], (90.0,), 12, 0),  # n = 1, best bin the last one
+            ([0, 1, 2], (60.0, 180.0, 300.0), 120, 0),  # n = B: W = 1
+            ([1, 2, 0], (60.0, 180.0, 300.0), 120, 1),  # n = B, gap after bin 0
+            ([3, 7], (40.0, 80.0), 30, 0),  # gap 8..3 wraps past bin 0
+            ([3, 1], (10.0, 350.0), 30, 2),  # gap is bin 2 alone: last bin + 1
+        ],
+    )
+    def test_hand_placed_peaks(self, peaks, azimuths, bin_size, cut):
+        n, bins = len(peaks), 360 // bin_size
+        values = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, bins))
+        values[np.arange(n), peaks] += 1.0
+        scores = scores_from(values, azimuths, bin_size)
+        assert assert_matches_dp_oracle(scores)
+        solution = cp.solve(scores)
+        assert [a.sound_bin for a in solution.assignments] == peaks
+        assert solution.cut_rotation == cut
+
+    def test_tied_maximum_goes_to_the_all_cuts_pass(self):
+        # element 1's first best bin, 2, would follow element 0's bin 5 only
+        # under cuts 3 to 5; its tied bin 8 keeps both in order under cut 0
+        values = np.zeros((2, 12))
+        values[0, 5] = values[1, 2] = values[1, 8] = 1.0
+        scores = scores_from(values, (150.0, 240.0), 30)
+        assert assert_matches_dp_oracle(scores) is False
+        solution = cp.solve(scores)
+        assert [a.sound_bin for a in solution.assignments] == [5, 8]
+        assert solution.cut_rotation == 0
+
+    def test_masked_single_bin_is_infeasible(self):
+        # one element, one bin, its center 170 degrees away: the row's only
+        # cell is masked, and a unique maximum of masked cells is no answer
+        scores = scores_from([[1.0]], (10.0,), 360)
+        assert assert_matches_dp_oracle(scores, 0.0) is False
+        assert assert_matches_dp_oracle(scores) is True
 
 
 class TestSolverMemory:
