@@ -402,7 +402,7 @@ class TestOwnBestBins:
             for kind in self.KINDS:
                 n = int(rng.integers(1, 8))
                 outcomes[kind].add(assert_matches_dp_oracle(*self.drawn(rng, kind, 12, n)))
-        assert outcomes["peaked"] >= {True}
+        assert True in outcomes["peaked"]
         assert all(False in seen for kind, seen in outcomes.items() if kind != "peaked")
         assert set().union(*outcomes.values()) == {True, False}
 
