@@ -143,6 +143,25 @@ def _keyed(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.add(rows, u, out=rows, dtype=np.int64, casting="unsafe")
 
 
+# Uniforms drawn per block: 64 KB, below glibc's 128 KB mmap threshold, so
+# a draw's block is heap memory that stays mapped from one run to the next
+# instead of a trial-length array the allocator maps, trims and faults in
+# again on every run.
+_BLOCK = 1 << 13
+
+
+def _drawn_keys(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """`_keyed(rows, rng.random(rows.size))`, made in place of int64 `rows`
+    with the uniforms drawn a block at a time. `random` spends one 64-bit
+    word per double, so the blocks in order are that single call's values."""
+
+    u = np.empty(min(rows.size, _BLOCK))
+    for start in range(0, rows.size, _BLOCK):
+        part = rows[start : start + _BLOCK]
+        _keyed(part, rng.random(out=u[: part.size]))
+    return rows
+
+
 def _bounds(model: ConfusionModel, rows: np.ndarray) -> np.ndarray:
     """Flat, non-decreasing int64 key bounds of the given model rows
     (repeats allowed), then the end of the last row.
@@ -183,6 +202,7 @@ def _percepts(model: ConfusionModel, keys: np.ndarray) -> np.ndarray:
     # Searched in sorted order, each search starts where the last ended.
     order = keys.argsort()
     ranked = keys[order]
+    del keys  # freed here unless the caller holds it
     percept = bounds.searchsorted(ranked, side="right")
     # a key of row t is past the B * t bounds of earlier rows and its row's start
     np.right_shift(ranked, _BITS, out=ranked)
@@ -220,7 +240,9 @@ def _stream(seed: int, n: int, trials: int) -> np.ndarray:
     if keys is None:
         _kept.clear()  # before the draw, so no two streams are ever alive
         rng = np.random.default_rng(seed)
-        keys = _keyed(rng.integers(n, size=trials), rng.random(trials))
+        # One call: within a call, bounded draws may use both 32-bit halves
+        # of a 64-bit word, so splitting it could change the stream.
+        keys = _drawn_keys(rng, rng.integers(n, size=trials))
         keys.sort()
         keys.flags.writeable = False
         _kept[key] = keys
@@ -339,9 +361,12 @@ def _trials_by_bin(model: ConfusionModel, trials_per_bin: int, seed: int) -> np.
     integer."""
 
     trials_per_bin, seed = _count("trials_per_bin", trials_per_bin, 1), _count("seed", seed, 0)
-    rows = np.repeat(np.arange(model.bin_count), trials_per_bin)
-    keys = _keyed(rows, np.random.default_rng(seed).random(rows.size))
-    return _percepts(model, keys).reshape(model.bin_count, trials_per_bin)
+    rows = np.arange(model.bin_count, dtype=np.int64)
+    # the keys go unnamed, so `_percepts` frees them once it has sorted them
+    perceived = _percepts(
+        model, _drawn_keys(np.random.default_rng(seed), np.repeat(rows, trials_per_bin))
+    )
+    return perceived.reshape(model.bin_count, trials_per_bin)
 
 
 def _regions_with_centers(bin_size_deg: int) -> np.ndarray:
@@ -380,25 +405,38 @@ def table1_statistics(
             )
     centers = _bin_tables(model.bin_size_deg)[0]  # [true, perceived]
     circ_by_bin, adj_by_bin = _distance_tables(centers, model.bin_size_deg)
-    circular = np.take_along_axis(circ_by_bin, perceived, axis=1)
-    adjusted = np.take_along_axis(adj_by_bin, perceived, axis=1)
-    cone = circular - adjusted
+    # Each trial's flat (true, perceived) cell, made in place of its percept;
+    # every table and per-trial input goes once it has been gathered.
+    nb = model.bin_count
+    perceived += np.arange(0, nb * nb, nb)[:, None]
+    circular = circ_by_bin.take(perceived)
+    del circ_by_bin
+    adjusted = adj_by_bin.take(perceived)
+    del adj_by_bin, perceived
 
-    # A region's trials are its bins' rows, in draw order.
+    # A region's trials are its bins' rows, in draw order: a row slice where
+    # those rows are contiguous, else a copy of them.
     out: dict[str, LocalizationStats] = {}
     for name in (*REGIONS, "all"):
-        rows = slice(None) if name == "all" else by_bin == name
-        c, a, k = circular[rows], adjusted[rows], cone[rows]
-        out[name] = LocalizationStats(
-            circular_mean=float(c.mean()),
-            circular_sd=float(c.std(ddof=1)),
-            adjusted_mean=float(a.mean()),
-            adjusted_sd=float(a.std(ddof=1)),
-            cone_effect_mean=float(k.mean()),
-            cone_effect_sd=float(k.std(ddof=1)),
-            trials=c.size,
-        )
+        rows = np.arange(nb) if name == "all" else np.flatnonzero(by_bin == name)
+        if rows[-1] - rows[0] == rows.size - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        c, a = circular[rows], adjusted[rows]
+        stats = {}
+        for error, x in (("circular", c), ("adjusted", a), ("cone_effect", c - a)):
+            stats[f"{error}_mean"], stats[f"{error}_sd"] = _mean_sd(x)
+        out[name] = LocalizationStats(**stats, trials=c.size)
     return out
+
+
+def _mean_sd(x: np.ndarray) -> tuple[float, float]:
+    """`x.mean()` and `x.std(ddof=1)`, bit for bit: NumPy's own two passes,
+    the SD's first pass being the mean already computed."""
+
+    mean = np.add.reduce(x, axis=None) / x.size
+    deviation = np.subtract(x, mean)
+    np.multiply(deviation, deviation, out=deviation)
+    return float(mean), math.sqrt(np.add.reduce(deviation, axis=None) / (x.size - 1))
 
 
 def expected_localization_errors(model: ConfusionModel) -> dict[str, dict[str, float]]:

@@ -65,5 +65,11 @@ def test_perfbench_faults_counts_the_timed_loop():
     lines = done.stdout.splitlines()
     faults = [json.loads(line[len("FAULTS ") :]) for line in lines if line.startswith("FAULTS ")]
     assert len(faults) == 1
-    assert faults[0]["requests"] > 0 and faults[0]["minflt"] >= 0
+    total = faults[0]
+    assert total["requests"] > 0 and total["minflt"] >= 0
+    assert total["minflt_per_request"] == total["minflt"] / total["requests"]
+    # every request of this workload is a placement, counted around its own call
+    (kind,) = total["by_kind"].items()
+    assert kind[0] == "placement" and kind[1]["requests"] == total["requests"]
+    assert 0 <= kind[1]["minflt"] <= total["minflt"]
     assert json.loads(lines[-1])["correct"] is True

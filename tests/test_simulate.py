@@ -205,11 +205,23 @@ class TestSampler:
 
     @pytest.mark.parametrize(
         "seed, n, trials",
-        [(0, 1, 1), (1, 2, 7), (2, 12, 50_000), (3, 300, 4097), (2**32 - 1, 1023, 999)],
+        [
+            (0, 1, 1),
+            (1, 2, 7),
+            (2, 12, 50_000),
+            (3, 300, 4097),
+            (2**32 - 1, 1023, 999),
+            # trial counts around the block the uniforms are drawn in
+            (4, 5, simulate._BLOCK - 1),
+            (5, 1023, simulate._BLOCK),
+            (6, 7, simulate._BLOCK + 1),
+            (7, 1023, 3 * simulate._BLOCK + 5),
+        ],
     )
     def test_stream_holds_grid_uniforms(self, seed, n, trials):
         # `Generator.random` draws m / 2^53 for integers m < 2^53, the
-        # contract the keys rest on; the stream is their sorted keys
+        # contract the keys rest on; the stream is their sorted keys, its
+        # uniforms those of one `random(trials)` call after the targets
         rng = np.random.default_rng(seed)
         targets, u = rng.integers(n, size=trials), rng.random(trials)
         m = u * 2.0**53
@@ -220,9 +232,21 @@ class TestSampler:
         assert keys.dtype == np.int64 and not keys.flags.writeable
         assert np.array_equal(keys, np.sort((targets << 53) + m.astype(np.int64)))
 
+    @pytest.mark.parametrize("bin_size, trials_per_bin", [(12, 1000), (3, 200), (1, 200)])
+    def test_trials_by_bin_draw_one_call_of_uniforms(self, bin_size, trials_per_bin):
+        # the percepts of a single `random` call over every bin's trials,
+        # whose count is not a whole number of blocks
+        model = model_of("calibrated", bin_size)
+        true_bins = np.repeat(np.arange(model.bin_count), trials_per_bin)
+        assert true_bins.size % simulate._BLOCK and true_bins.size > simulate._BLOCK
+        u = np.random.default_rng(bin_size).random(true_bins.size)
+        want = gather_sample_rows(model.matrix, true_bins, u)
+        got = simulate._trials_by_bin(model, trials_per_bin, bin_size)
+        assert np.array_equal(got, want.reshape(model.bin_count, trials_per_bin))
+
     def test_table1_memory_at_finest_bins(self):
-        # the draw, the B x B error tables and one region's rows; trial-length
-        # cells and region masks next to them reach 6.48 MB
+        # the draw, the B x B error tables and one region's rows; the
+        # per-trial arrays kept alive next to them reached 5.26 MB
         model = cp.synthesize_model(cp.calibrated_params(1))
         tracemalloc.start()
         try:
@@ -230,7 +254,7 @@ class TestSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5_600_000
+        assert peak <= 4_400_000
 
 
 class TestRunSimulation:
@@ -495,7 +519,9 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "n, bin_size, bound",
         [
-            (12, 12, 1_000_000),  # the per-trial version peaked at 3.26 MB
+            # the per-trial version peaked at 3.26 MB, and a draw of all
+            # uniforms in one array at 0.88 MB
+            (12, 12, 650_000),
             (300, 1, 5_400_000),  # and here at 5.72 MB
         ],
     )
