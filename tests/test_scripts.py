@@ -69,7 +69,7 @@ def test_perfbench_faults_counts_the_timed_loop():
     assert total["requests"] > 0 and total["minflt"] >= 0
     assert total["minflt_per_request"] == total["minflt"] / total["requests"]
     # every request of this workload is a placement, counted around its own call
-    (kind,) = total["by_kind"].items()
-    assert kind[0] == "placement" and kind[1]["requests"] == total["requests"]
-    assert 0 <= kind[1]["minflt"] <= total["minflt"]
+    ((kind, placements),) = total["by_kind"].items()
+    assert kind == "placement" and placements["requests"] == total["requests"]
+    assert 0 <= placements["minflt"] <= total["minflt"]
     assert json.loads(lines[-1])["correct"] is True
